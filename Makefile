@@ -33,12 +33,12 @@ bench:
 	$(GO) test -run '^$$' -bench Pipeline -benchmem .
 
 # Comparison gates: fail when the metrics+tracing path makes FitPipeline
-# more than 3% slower than the nil-registry fast path, when decision
-# recording (scored path + log + drift monitor) costs more than 3% over
-# plain decoding and more than 5us/trace absolute, when sparse per-cell
+# more than 3% slower than the nil-registry fast path, when the decode
+# observers (decision log + drift monitor) cost more than 3% on top of the
+# scored walk and more than 5us/trace absolute, when sparse per-cell
 # extraction loses its >=8x edge over the full-FFT path (or grows past its
-# allocation budget), or when a v4 registry cold start (header-only opens)
-# is not at least 10x cheaper than the same 16 templates as gob.
+# allocation budget), or when a registry cold start (header-only opens) is
+# not at least 10x cheaper than eagerly materializing the same 16 templates.
 bench-compare:
 	BENCH_COMPARE=1 $(GO) test -run 'TestMetricsOverheadBudget|TestDecisionOverheadBudget|TestSparseSpeedupBudget|TestLabeledOverheadBudget|TestStoreColdStartBudget|TestTracingOverheadBudget' -v .
 

@@ -1,18 +1,19 @@
 package sidechannel
 
-// Inference hot-path benchmarks: the scored classification path (per-level
-// confidence + decision recording + drift feeding) against the plain decode
-// path on the same trained templates. Run
+// Inference hot-path benchmarks: decoding with the full observer stack
+// (decision recording + drift feeding + confidence histogram) against the
+// same decode with no observer installed, on the same trained templates.
+// Run
 //
 //	go test -bench=DisassembleScored -benchmem -run=^$
 //
-// and compare against BENCH_classify.json. Both paths decode through sparse
-// inference by default (the fixture's templates are sparse-capable). The
+// and compare against BENCH_classify.json. Both decode through the one
+// scored sparse walk — Disassemble is its Decoded projection. The
 // comparison gate (TestDecisionOverheadBudget, part of `make bench-compare`)
-// fails when decision recording at default sampling costs more than 3% over
-// the plain path and more than 5 µs/trace absolute — the scored walk shares
-// the plain walk's extraction, so the delta is a few softmaxes, the drift
-// vector, and one JSON encode per sampled decision.
+// fails when the observers at default sampling cost more than 3% on top of
+// the walk and more than 5 µs/trace absolute — the delta is the drift
+// vector, the confidence histogram and one JSON encode per sampled
+// decision.
 
 import (
 	"fmt"
@@ -71,8 +72,9 @@ func classifyFixture(b *testing.B) (*core.Disassembler, [][]float64) {
 }
 
 // benchClassify runs one batch decode per iteration at a single worker,
-// either plain (no observer) or scored with the full recording stack —
-// decision log at default sampling, drift monitor, confidence histogram.
+// either with no observer (Disassemble) or with the full recording stack
+// (DisassembleScored with decision log at default sampling, drift monitor,
+// confidence histogram).
 func benchClassify(b *testing.B, scored bool) {
 	d, traces := classifyFixture(b)
 	defer parallel.SetWorkers(0)
@@ -108,15 +110,15 @@ func BenchmarkDisassembleScored(b *testing.B)    { benchClassify(b, true) }
 func BenchmarkDisassembleScoredOff(b *testing.B) { benchClassify(b, false) }
 
 // TestDecisionOverheadBudget is the second bench-compare gate: with
-// BENCH_COMPARE=1 it measures scored-with-recording vs plain decoding and
-// fails when decision recording costs more than 3% — or, now that sparse
-// inference has shrunk the decode itself ~80x, more than an absolute
-// 5 µs/trace. The 3% budget was calibrated against the full-CWT decode
-// (~1 ms/trace, so an implicit ~30 µs/trace allowance); measured recording
-// cost is ~2 µs/trace (softmaxes, drift vector, one JSON encode per sampled
-// decision), which is a large *fraction* of a ~13 µs sparse decode but far
-// under the cost the budget was ever meant to permit. Either bound passing
-// means recording has not regressed. Env-gated for the same reason as
+// BENCH_COMPARE=1 it measures observer cost on top of the scored walk —
+// decoding with the recording stack vs decoding with no observer, both
+// through the same scored sparse walk — and fails when the observers cost
+// more than 3% or more than an absolute 5 µs/trace. The 3% budget was
+// calibrated against the full-CWT decode (~1 ms/trace, so an implicit
+// ~30 µs/trace allowance); recording (drift vector, confidence histogram,
+// one JSON encode per sampled decision) is a large *fraction* of a ~13 µs
+// sparse decode but far under the cost the budget was ever meant to permit.
+// Either bound passing means recording has not regressed. Env-gated for the same reason as
 // TestMetricsOverheadBudget — a timing assertion on a loaded machine is a
 // flake, not a signal.
 func TestDecisionOverheadBudget(t *testing.T) {
@@ -137,10 +139,10 @@ func TestDecisionOverheadBudget(t *testing.T) {
 	}
 	overhead := (on - off) / off
 	perTrace := (on - off) / tracesPerOp
-	fmt.Printf("bench-compare: decode plain %.0f ns/op, scored %.0f ns/op, overhead %+.2f%% (%.0f ns/trace)\n",
+	fmt.Printf("bench-compare: decode unobserved %.0f ns/op, observed %.0f ns/op, overhead %+.2f%% (%.0f ns/trace)\n",
 		off, on, overhead*100, perTrace)
 	if overhead > 0.03 && perTrace > perTraceBudgetNs {
-		t.Fatalf("decision recording overhead %.2f%% (%.0f ns/trace) exceeds both the 3%% and the %.0f ns/trace budgets",
+		t.Fatalf("observer overhead %.2f%% (%.0f ns/trace) exceeds both the 3%% and the %.0f ns/trace budgets",
 			overhead*100, perTrace, perTraceBudgetNs)
 	}
 }

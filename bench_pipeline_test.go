@@ -134,19 +134,11 @@ func BenchmarkPipelineExtractSparse(b *testing.B) {
 	}
 }
 
-// benchClassifyOne measures single-trace end-to-end decode latency — trace in,
-// instruction out, the paper's real-time monitoring unit of work — through the
-// selected inference path.
-func benchClassifyOne(b *testing.B, mode core.SparseMode) {
+// BenchmarkPipelineClassifyOneSparse measures single-trace end-to-end decode
+// latency — trace in, instruction out, the paper's real-time monitoring unit
+// of work — through the sparse per-cell inference path.
+func BenchmarkPipelineClassifyOneSparse(b *testing.B) {
 	d, traces := classifyFixture(b)
-	if err := d.SetSparseMode(mode); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := d.SetSparseMode(core.SparseAuto); err != nil {
-			b.Fatal(err)
-		}
-	}()
 	if _, err := d.Classify(traces[0]); err != nil {
 		b.Fatal(err)
 	}
@@ -158,9 +150,6 @@ func benchClassifyOne(b *testing.B, mode core.SparseMode) {
 		}
 	}
 }
-
-func BenchmarkPipelineClassifyOneSparse(b *testing.B) { benchClassifyOne(b, core.SparseOn) }
-func BenchmarkPipelineClassifyOneFull(b *testing.B)   { benchClassifyOne(b, core.SparseOff) }
 
 // benchFit runs a full FitPipeline at the given worker count; the
 // Serial/Parallel pair quantifies the multi-core speedup (identical results

@@ -25,7 +25,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/power"
 )
 
 // coreMetrics holds the disassembly instrument handles; the handles are nil
@@ -34,8 +33,6 @@ import (
 type coreMetrics struct {
 	classified      *obs.Counter   // core.traces.classified — Classify calls that succeeded
 	rejected        *obs.Counter   // core.traces.rejected — Classify calls that failed
-	sparseTraces    *obs.Counter   // core.traces.sparse — classifications served by the sparse path
-	sparseFallback  *obs.Counter   // core.sparse.fallback — sparse-preferred loads degraded to the full path
 	groupRemapped   *obs.Counter   // core.group.remapped — group decisions redirected onto a trained group
 	confidence      *obs.Histogram // core.decision.confidence — overall decision confidences
 	decisionLogErrs *obs.Counter   // core.decision_log.errors — failed JSONL writes
@@ -56,8 +53,6 @@ func init() {
 		metPtr.Store(&coreMetrics{
 			classified:      r.Counter("core.traces.classified"),
 			rejected:        r.Counter("core.traces.rejected"),
-			sparseTraces:    r.Counter("core.traces.sparse"),
-			sparseFallback:  r.Counter("core.sparse.fallback"),
 			groupRemapped:   r.Counter("core.group.remapped"),
 			confidence:      r.HistogramWith("core.decision.confidence", obs.UnitBuckets()),
 			decisionLogErrs: r.Counter("core.decision_log.errors"),
@@ -65,48 +60,18 @@ func init() {
 	})
 }
 
-// SparseMode selects whether classification runs through the sparse per-cell
-// CWT (dsp.SparseCWT over each level's selected points) or the full FFT
-// scalogram.
+// SparseMode once selected between the sparse per-cell and the full-CWT
+// inference paths. Inference is always sparse now; the type survives only
+// because the request-path benchmark under reqbench/ is frozen and still
+// sets serve.RegistryConfig.Sparse to SparseAuto.
+//
+// Deprecated: inference always takes the sparse path; the value is ignored.
 type SparseMode int
 
-const (
-	// SparseAuto (the default) uses the sparse path whenever every trained
-	// level's template is sparse-capable, and falls back to the full path
-	// otherwise (e.g. templates saved by builds predating NormTrace).
-	SparseAuto SparseMode = iota
-	// SparseOn requires the sparse path; SetSparseMode fails for templates
-	// that cannot support it.
-	SparseOn
-	// SparseOff forces the full-FFT path (the escape hatch).
-	SparseOff
-)
-
-// String renders the mode in its flag syntax (auto|on|off).
-func (m SparseMode) String() string {
-	switch m {
-	case SparseOn:
-		return "on"
-	case SparseOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseSparseMode parses the -sparse flag syntax: auto, on or off.
-func ParseSparseMode(s string) (SparseMode, error) {
-	switch s {
-	case "auto", "":
-		return SparseAuto, nil
-	case "on":
-		return SparseOn, nil
-	case "off":
-		return SparseOff, nil
-	default:
-		return SparseAuto, fmt.Errorf("core: invalid sparse mode %q (want auto, on or off)", s)
-	}
-}
+// SparseAuto is the zero SparseMode, kept for the same reason as the type.
+//
+// Deprecated: see SparseMode.
+const SparseAuto SparseMode = 0
 
 // ClassifierKind selects the classification algorithm at every level.
 type ClassifierKind string
@@ -222,13 +187,13 @@ type groupLevel struct {
 // ClassifyScored, Disassemble and the scored batch variants are safe for
 // concurrent use from any number of goroutines — one shared Disassembler can
 // serve concurrent requests. Disassemble additionally fans the per-trace
-// classification out over the parallel.Workers() pool. The two mutating
-// setters (SetSparseMode*, SetObserver) are configuration, not serving: call
-// them before the first classification — they are read without
-// synchronization on the hot path. The observer sinks themselves
-// (DecisionLog, DriftMonitor, Reliability) are internally synchronized, so
-// concurrent batch decodes feed them safely; within one batch the feeding
-// order is the trace-stream order, across batches it is arrival order.
+// classification out over the parallel.Workers() pool. The one mutating
+// setter, SetObserver, is configuration, not serving: call it before the
+// first classification — the field is read without synchronization on the
+// hot path. The observer sinks themselves (DecisionLog, DriftMonitor,
+// Reliability) are internally synchronized, so concurrent batch decodes
+// feed them safely; within one batch the feeding order is the trace-stream
+// order, across batches it is arrival order.
 type Disassembler struct {
 	group      groupLevel
 	instr      [avr.NumGroups]groupLevel
@@ -237,78 +202,6 @@ type Disassembler struct {
 	rr         groupLevel
 	haveRegs   bool
 	observer   *InferenceObserver // inference-quality sinks; nil = disabled
-	sparseMode SparseMode         // see SetSparseMode; zero value is SparseAuto
-}
-
-// SparseCapable reports whether every trained level's template supports the
-// sparse per-cell path (see features.Pipeline.SparseCapable). Templates
-// fitted with scalogram-plane normalization (format v2 and earlier CSA
-// templates) are not capable and always use the full path.
-func (d *Disassembler) SparseCapable() bool {
-	if d.group.pipe == nil || !d.group.pipe.SparseCapable() {
-		return false
-	}
-	for i := range d.instr {
-		if d.instr[i].pipe != nil && !d.instr[i].pipe.SparseCapable() {
-			return false
-		}
-	}
-	if d.haveRegs {
-		if d.rd.pipe != nil && !d.rd.pipe.SparseCapable() {
-			return false
-		}
-		if d.rr.pipe != nil && !d.rr.pipe.SparseCapable() {
-			return false
-		}
-	}
-	return true
-}
-
-// SetSparseMode picks the inference path. SparseOn fails with
-// features.ErrSparseIncapable when the templates cannot support the sparse
-// path. Must be called before classification starts — like SetObserver, the
-// field is read without synchronization on the hot path.
-func (d *Disassembler) SetSparseMode(m SparseMode) error {
-	if m == SparseOn && !d.SparseCapable() {
-		return fmt.Errorf("core: -sparse=on: %w", features.ErrSparseIncapable)
-	}
-	d.sparseMode = m
-	return nil
-}
-
-// SetSparseModePreferred is SetSparseMode for callers that prefer the sparse
-// path but must keep serving when a template cannot support it — a registry
-// loading a mixed set of template versions, where one legacy v1/v2 file must
-// not fail the whole load. SparseOn on a sparse-incapable template degrades
-// to the full-CWT path instead of returning an error: the method installs
-// SparseOff, increments the core.sparse.fallback counter and reports
-// fellBack=true so the caller can log the downgrade. Every other combination
-// behaves exactly like SetSparseMode and reports false.
-func (d *Disassembler) SetSparseModePreferred(m SparseMode) (fellBack bool) {
-	if m == SparseOn && !d.SparseCapable() {
-		met().sparseFallback.Inc()
-		d.sparseMode = SparseOff
-		return true
-	}
-	d.sparseMode = m
-	return false
-}
-
-// SparseMode returns the configured mode (not the resolved path; see
-// SparseEnabled).
-func (d *Disassembler) SparseMode() SparseMode { return d.sparseMode }
-
-// SparseEnabled resolves the configured mode against the templates: the
-// answer Classify acts on.
-func (d *Disassembler) SparseEnabled() bool {
-	switch d.sparseMode {
-	case SparseOn:
-		return true
-	case SparseOff:
-		return false
-	default:
-		return d.SparseCapable()
-	}
 }
 
 // ErrNotTrained is returned when a Disassembler lacks a required level.
@@ -324,71 +217,16 @@ func (d *Disassembler) TraceLen() int {
 	return d.group.pipe.TraceLen()
 }
 
-// Classify decodes a single power trace into an instruction.
-//
-// On the full path the trace's CWT scalogram is computed exactly once and
-// shared by every hierarchy level (group, instruction, Rd, Rr) through
-// features.ExtractFromScalogram — the levels differ only in which
-// time–frequency points they read and how they project them. On the sparse
-// path (see SetSparseMode) no full scalogram exists at all: each level
-// evaluates just its own selected cells as direct dot products
-// (features.Pipeline.ExtractSparse), an order of magnitude cheaper.
+// Classify decodes a single power trace into an instruction: the Decoded
+// projection of ClassifyScored, which walks the hierarchy through the
+// sparse per-cell path and feeds any installed observer.
 //
 // The trace is validated first (power.ValidateTrace): a NaN/Inf, constant or
 // wrong-length capture is rejected with a typed error instead of silently
 // producing a garbage label.
 func (d *Disassembler) Classify(trace []float64) (Decoded, error) {
-	if d.observer != nil {
-		// An installed observer wants the scored path: same labels (the
-		// scored predictors argmax the same scores), plus sink feeding.
-		dec, err := d.ClassifyScored(trace)
-		return dec.Decoded, err
-	}
-	if d.group.pipe == nil || d.group.clf == nil {
-		return Decoded{}, ErrNotTrained
-	}
-	if err := power.ValidateTrace(trace, d.group.pipe.TraceLen()); err != nil {
-		met().rejected.Inc()
-		return Decoded{}, fmt.Errorf("core: rejecting trace: %w", err)
-	}
-	var (
-		dec Decoded
-		err error
-	)
-	if d.SparseEnabled() {
-		dec, err = d.classifySparse(trace)
-	} else {
-		var flat []float64
-		if flat, err = d.group.pipe.RawScalogram(trace); err != nil {
-			met().rejected.Inc()
-			return Decoded{}, fmt.Errorf("core: group features: %w", err)
-		}
-		dec, err = d.classifyScalogram(flat)
-	}
-	if err != nil {
-		met().rejected.Inc()
-		return dec, err
-	}
-	met().classified.Inc()
-	return dec, nil
-}
-
-// classifyScalogram runs the hierarchical classification against a shared
-// raw scalogram (see features.Pipeline.RawScalogram).
-func (d *Disassembler) classifyScalogram(flat []float64) (Decoded, error) {
-	return d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractFromScalogram(flat)
-	})
-}
-
-// classifySparse runs the hierarchical classification through the sparse
-// per-cell path: each level evaluates only its own selected cells of the
-// trace, so no full scalogram is ever materialized.
-func (d *Disassembler) classifySparse(trace []float64) (Decoded, error) {
-	met().sparseTraces.Inc()
-	return d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractSparse(trace)
-	})
+	dec, err := d.ClassifyScored(trace)
+	return dec.Decoded, err
 }
 
 // trainedGroup reports whether group label gi carries instruction templates.
@@ -420,34 +258,17 @@ func (d *Disassembler) maskedGroupScores(gf []float64) ([]float64, bool) {
 	return scores, any
 }
 
-// remapGroup redirects a group decision that landed on a group without
-// instruction templates onto the best-scoring trained group. A subset
-// disassembler's group classifier is trained on the full 8-way task
-// (TrainSubset), so the occasional trace routes to a group it has no level-2
-// templates for; a monitoring appliance should answer with the most likely
-// group it can actually decode — the downstream majority fusion cancels the
-// misread — rather than fail the trace. When the classifier exposes no
-// scores the label is returned unchanged and the caller's untrained-group
-// error stands.
-func (d *Disassembler) remapGroup(gf []float64, gi int) int {
-	scores, ok := d.maskedGroupScores(gf)
-	if !ok {
-		return gi
-	}
-	best := 0
-	for g := range scores {
-		if scores[g] > scores[best] {
-			best = g
-		}
-	}
-	met().groupRemapped.Inc()
-	return best
-}
-
-// remapGroupScored is remapGroup for the scored path: the same trained-group
-// restriction, with confidence and margin renormalized over the masked
-// scores so the DecisionLevel reflects the restricted decision. No-op for
-// decisions already inside the trained set.
+// remapGroupScored redirects a group decision that landed on a group without
+// instruction templates onto the best-scoring trained group, with confidence
+// and margin renormalized over the masked scores so the DecisionLevel
+// reflects the restricted decision. A subset disassembler's group classifier
+// is trained on the full 8-way task (TrainSubset), so the occasional trace
+// routes to a group it has no level-2 templates for; a monitoring appliance
+// should answer with the most likely group it can actually decode — the
+// downstream majority fusion cancels the misread — rather than fail the
+// trace. No-op for decisions already inside the trained set; when the
+// classifier exposes no scores the label is returned unchanged and the
+// caller's untrained-group error stands.
 func (d *Disassembler) remapGroupScored(gf []float64, sp ml.ScoredPrediction) ml.ScoredPrediction {
 	if d.trainedGroup(sp.Label) {
 		return sp
@@ -458,78 +279,6 @@ func (d *Disassembler) remapGroupScored(gf []float64, sp ml.ScoredPrediction) ml
 	}
 	met().groupRemapped.Inc()
 	return ml.ScoredFromLogScores(scores)
-}
-
-// classifyExtract walks the hierarchy with the given per-level feature
-// extraction — the shared-scalogram and sparse paths differ only here.
-func (d *Disassembler) classifyExtract(extract func(*features.Pipeline) ([]float64, error)) (Decoded, error) {
-	gf, err := extract(d.group.pipe)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: group features: %w", err)
-	}
-	gi, err := d.group.clf.Predict(gf)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: group classify: %w", err)
-	}
-	if gi < 0 || gi >= avr.NumGroups {
-		return Decoded{}, fmt.Errorf("core: group label %d out of range", gi)
-	}
-	if !d.trainedGroup(gi) {
-		gi = d.remapGroup(gf, gi)
-	}
-	lvl := d.instr[gi]
-	if lvl.pipe == nil || lvl.clf == nil {
-		return Decoded{}, fmt.Errorf("core: no instruction templates for group %d: %w", gi+1, ErrNotTrained)
-	}
-	inf, err := extract(lvl.pipe)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: instruction features: %w", err)
-	}
-	ii, err := lvl.clf.Predict(inf)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: instruction classify: %w", err)
-	}
-	if ii < 0 || ii >= len(d.instrClass[gi]) {
-		return Decoded{}, fmt.Errorf("core: instruction label %d out of range for group %d", ii, gi+1)
-	}
-	cls := d.instrClass[gi][ii]
-	out := Decoded{Class: cls, Group: cls.Group()}
-
-	if d.haveRegs {
-		sp := avr.SpecOf(cls)
-		needRd, needRr := operandRegisters(sp.Operands, cls)
-		if needRd {
-			f, err := extract(d.rd.pipe)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rd features: %w", err)
-			}
-			r, err := d.rd.clf.Predict(f)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rd classify: %w", err)
-			}
-			out.Rd, out.HasRd = uint8(r), true
-		}
-		if needRr {
-			f, err := extract(d.rr.pipe)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rr features: %w", err)
-			}
-			r, err := d.rr.clf.Predict(f)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rr classify: %w", err)
-			}
-			out.Rr, out.HasRr = uint8(r), true
-		}
-	}
-	return out, nil
-}
-
-// boolAttr renders a boolean as a 0/1 span attribute.
-func boolAttr(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // operandRegisters reports which register operands a class carries.
@@ -560,51 +309,21 @@ func (d *Disassembler) Disassemble(traces [][]float64) ([]Decoded, error) {
 	return d.DisassembleCtx(context.Background(), traces)
 }
 
-// DisassembleCtx is Disassemble with cooperative cancellation. On a
-// classification failure the decoded prefix plus the lowest-index error are
-// returned, exactly like the serial flow; on cancellation the scheduling of
-// new traces stops and the call returns a nil listing with ctx.Err().
+// DisassembleCtx is Disassemble with cooperative cancellation: the Decoded
+// projection of DisassembleScoredCtx. On a classification failure the
+// decoded prefix plus the lowest-index error are returned, exactly like the
+// serial flow; on cancellation the scheduling of new traces stops and the
+// call returns a nil listing with ctx.Err().
 func (d *Disassembler) DisassembleCtx(ctx context.Context, traces [][]float64) ([]Decoded, error) {
-	if d.observer != nil {
-		decs, err := d.DisassembleScoredCtx(ctx, traces)
-		if decs == nil {
-			return nil, err
-		}
-		out := make([]Decoded, len(decs))
-		for i, dec := range decs {
-			out[i] = dec.Decoded
-		}
-		return out, err
+	decs, err := d.DisassembleScoredCtx(ctx, traces)
+	if decs == nil {
+		return nil, err
 	}
-	ctx, span := obs.Span(ctx, "core.disassemble")
-	defer span.End()
-	span.SetAttr("traces", float64(len(traces)))
-	span.SetAttr("sparse", boolAttr(d.SparseEnabled()))
-	out := make([]Decoded, len(traces))
-	var (
-		mu       sync.Mutex
-		failIdx  = len(traces)
-		failWith error
-	)
-	ctxErr := parallel.ForCtx(ctx, len(traces), func(i int) {
-		dec, err := d.Classify(traces[i])
-		if err != nil {
-			mu.Lock()
-			if i < failIdx {
-				failIdx, failWith = i, err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = dec
-	})
-	if failWith != nil {
-		return out[:failIdx], fmt.Errorf("core: trace %d: %w", failIdx, failWith)
+	out := make([]Decoded, len(decs))
+	for i, dec := range decs {
+		out[i] = dec.Decoded
 	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	return out, nil
+	return out, err
 }
 
 // DisassembleScored is DisassembleScoredCtx with a background context.
@@ -620,10 +339,15 @@ func (d *Disassembler) DisassembleScored(traces [][]float64) ([]Decision, error)
 // match DisassembleCtx (decoded prefix + lowest-index error; observer sees
 // only the clean prefix).
 func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]float64) ([]Decision, error) {
+	return d.disassembleScored(ctx, traces, sparseExtractor)
+}
+
+// disassembleScored is DisassembleScoredCtx with the per-trace feature
+// extractor as a parameter (see traceExtractor).
+func (d *Disassembler) disassembleScored(ctx context.Context, traces [][]float64, extract traceExtractor) ([]Decision, error) {
 	ctx, span := obs.Span(ctx, "core.disassemble")
 	defer span.End()
 	span.SetAttr("traces", float64(len(traces)))
-	span.SetAttr("sparse", boolAttr(d.SparseEnabled()))
 	out := make([]Decision, len(traces))
 	driftVecs := make([][]float64, len(traces))
 	var (
@@ -636,7 +360,7 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 		// the CLI session tracer and untraced batches skip at the flag check.
 		tsp := span.FineChild("core.classify")
 		tsp.SetAttr("trace", float64(i))
-		dec, dv, err := d.classifyScored(traces[i], tsp)
+		dec, dv, err := d.classifyScored(traces[i], extract, tsp)
 		if err != nil {
 			tsp.SetAttr("error", 1)
 			tsp.End()

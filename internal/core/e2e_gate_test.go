@@ -88,32 +88,24 @@ func confusionSummary(conf map[string][][]int) string {
 	return b.String()
 }
 
-// disassembleBothPaths decodes the stream through the sparse per-cell path
-// AND the full-FFT path and requires instruction-identical listings — the
-// sparse path is a performance rewrite, not a model change, so any label
+// disassembleBothPaths decodes the stream through the production sparse
+// per-cell path AND the full-CWT oracle (the same walk, extracting from one
+// shared scalogram per trace) and requires instruction-identical listings —
+// the sparse path is a performance rewrite, not a model change, so any label
 // divergence on the gate campaign is a bug. Returns the (shared) decoding.
 func disassembleBothPaths(t *testing.T, d *Disassembler, traces [][]float64) []Decoded {
 	t.Helper()
-	if err := d.SetSparseMode(SparseOn); err != nil {
-		t.Fatal(err)
-	}
 	sparse, err := d.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetSparseMode(SparseOff); err != nil {
-		t.Fatal(err)
-	}
-	full, err := d.Disassemble(traces)
+	full, err := disassembleFullCWT(d, traces)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetSparseMode(SparseAuto); err != nil {
 		t.Fatal(err)
 	}
 	for i := range full {
 		if sparse[i] != full[i] {
-			t.Fatalf("trace %d: sparse path decoded %+v, full path decoded %+v", i, sparse[i], full[i])
+			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle decoded %+v", i, sparse[i], full[i])
 		}
 	}
 	return sparse

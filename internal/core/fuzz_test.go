@@ -2,77 +2,82 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/avr"
+	"repro/internal/store"
 	"repro/internal/testkit"
 )
 
-// stateGob encodes a disassemblerState exactly as Save does, letting the
-// seeds cover structurally valid gob streams (wrong version, missing group
-// level, poisoned class table) without the cost of training a real template
-// set.
-func stateGob(t testing.TB, st disassemblerState) []byte {
+// stateBytes writes a template state as a v4 file, letting the seeds cover
+// structurally valid files (no group level, poisoned class table) without
+// the cost of training a real template set.
+func stateBytes(t testing.TB, st *store.TemplateState) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+	if err := store.Write(&buf, st, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// strippedTrainedGob trains the shared fixture and gob-encodes its state
-// with every matrix payload stripped (the store codecs' Strip, shapes
-// retained): a structurally real template stream at committable size — a
-// whole trained file gob-encodes to hundreds of KB of matrix payload, while
-// the stripped form keeps only the real Points/Pairs/class-table structure
-// the crafted seeds above cannot imitate. Restore hardening guarantees Load
-// rejects it cleanly
-// (the PCA basis has shape but no data) instead of panicking in Transform.
-func strippedTrainedGob(t *testing.T) []byte {
+// withVersion returns a copy of a v4 file whose prelude claims schema v.
+func withVersion(b []byte, v uint32) []byte {
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(out[4:8], v)
+	return out
+}
+
+// craftedSeeds is the training-free part of the FuzzLoad seed set, shared by
+// the committed corpus and the in-process f.Add calls.
+func craftedSeeds(t testing.TB) map[string][]byte {
+	bare := stateBytes(t, &store.TemplateState{})
+	poisoned := &store.TemplateState{HaveRegs: true}
+	poisoned.InstrClass[0] = []avr.Class{avr.Class(255)}
+	return map[string][]byte{
+		"not_gob":              []byte("not a template file"),
+		"bare_current_version": bare,
+		"future_version":       withVersion(bare, store.Version+1),
+		"old_version":          withVersion(bare, store.Version-1),
+		"poisoned_class_table": stateBytes(t, poisoned),
+		"truncated":            bare[:len(bare)/2],
+	}
+}
+
+// strippedTrained saves the shared fixture and cuts the file at the end of
+// its header: a structurally real prelude, header and section directory
+// (real Points-bearing levels, class tables and drift baselines) at
+// committable size, whose every section lies past EOF. A whole trained file
+// runs to hundreds of KB of matrix payload.
+func strippedTrained(t *testing.T) []byte {
 	d, _ := sharedFixture(t)
 	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+	if err := d.SaveStore(&buf, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	var st disassemblerState
-	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+	sf, err := store.OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	lvls := []*levelState{&st.Group, &st.Rd, &st.Rr}
-	for i := range st.Instr {
-		lvls = append(lvls, &st.Instr[i])
-	}
-	for _, lvl := range lvls {
-		if !lvl.Present {
-			continue
-		}
-		lvl.Pipe = lvl.Pipe.Strip()
-		lvl.Clf = lvl.Clf.Strip()
-	}
-	return stateGob(t, st)
+	defer sf.Close()
+	return buf.Bytes()[:sf.PayloadOffset()]
 }
 
 // TestFuzzCorpusCommitted regenerates the committed seed corpus under
 // testdata/fuzz when REGEN_FUZZ_CORPUS is set, and otherwise asserts it is
-// present. The seeds are the crafted stateGob variants plus a stripped real
-// trained state (see strippedTrainedGob).
+// present. The seeds are the crafted v4 variants plus a real trained file
+// stripped to its header (see strippedTrained).
 func TestFuzzCorpusCommitted(t *testing.T) {
 	if os.Getenv("REGEN_FUZZ_CORPUS") != "" {
-		testkit.WriteCorpus(t, "FuzzLoad", "not_gob", []byte("not a gob stream"))
-		testkit.WriteCorpus(t, "FuzzLoad", "bare_current_version",
-			stateGob(t, disassemblerState{Version: templateFormatVersion}))
-		testkit.WriteCorpus(t, "FuzzLoad", "future_version",
-			stateGob(t, disassemblerState{Version: templateFormatVersion + 1}))
-		bad := disassemblerState{Version: templateFormatVersion}
-		bad.InstrClass[0] = []avr.Class{avr.Class(255)}
-		testkit.WriteCorpus(t, "FuzzLoad", "poisoned_class_table", stateGob(t, bad))
-		whole := stateGob(t, disassemblerState{Version: templateFormatVersion, HaveRegs: true})
-		testkit.WriteCorpus(t, "FuzzLoad", "truncated", whole[:len(whole)/2])
-		testkit.WriteCorpus(t, "FuzzLoad", "stripped_trained_state", strippedTrainedGob(t))
+		for name, b := range craftedSeeds(t) {
+			testkit.WriteCorpus(t, "FuzzLoad", name, b)
+		}
+		testkit.WriteCorpus(t, "FuzzLoad", "stripped_trained_state", strippedTrained(t))
 		return
 	}
 	ents, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzLoad"))
@@ -83,14 +88,12 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 
 // TestStrippedTrainedSeedRejectedCleanly pins the stripped seed's contract in
 // unit form (the fuzz engine only exercises it under -fuzz): Load must
-// reject the deep, shape-consistent, payload-free state with
-// ErrTemplateFormat — before restore hardening this path reached
-// PipelineFromState with a nil-Data PCA basis and panicked at classify time.
+// reject the deep, header-consistent, payload-free file with
+// ErrTemplateFormat.
 func TestStrippedTrainedSeedRejectedCleanly(t *testing.T) {
-	b := strippedTrainedGob(t)
-	d, err := Load(bytes.NewReader(b))
+	d, err := Load(bytes.NewReader(strippedTrained(t)))
 	if d != nil || !errors.Is(err, ErrTemplateFormat) {
-		t.Fatalf("stripped trained state: Load returned (%v, %v), want (nil, ErrTemplateFormat)", d, err)
+		t.Fatalf("stripped trained file: Load returned (%v, %v), want (nil, ErrTemplateFormat)", d, err)
 	}
 }
 
@@ -100,17 +103,15 @@ func TestStrippedTrainedSeedRejectedCleanly(t *testing.T) {
 // ErrTemplateFormat (I/O errors are impossible from a bytes.Reader).
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
-	f.Add(stateGob(f, disassemblerState{Version: templateFormatVersion}))
-	f.Add(stateGob(f, disassemblerState{Version: templateFormatVersion + 1}))
-	f.Add(stateGob(f, disassemblerState{Version: 0}))
-	bad := disassemblerState{Version: templateFormatVersion}
-	bad.InstrClass[0] = []avr.Class{avr.Class(255)}
-	f.Add(stateGob(f, bad))
-	// A truncated version of a structurally valid stream.
-	whole := stateGob(f, disassemblerState{Version: templateFormatVersion, HaveRegs: true})
-	f.Add(whole[:len(whole)/2])
-
+	seeds := craftedSeeds(f)
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names) // stable seed#N numbering
+	for _, name := range names {
+		f.Add(seeds[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Load(bytes.NewReader(data))
 		if err == nil {
@@ -132,12 +133,12 @@ func FuzzLoad(f *testing.F) {
 }
 
 // TestSaveLoadFuzzSeedRoundTrip keeps the fuzz surface honest against the
-// real format: a trained template set survives Save → Load and the loaded
-// copy decodes traces identically to the original.
+// real format: a trained template set survives SaveStore → Load and the
+// loaded copy decodes traces identically to the original.
 func TestSaveLoadFuzzSeedRoundTrip(t *testing.T) {
 	d, traces := sharedFixture(t)
 	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+	if err := d.SaveStore(&buf, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(bytes.NewReader(buf.Bytes()))

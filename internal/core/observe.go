@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/avr"
@@ -38,8 +37,8 @@ func (d *Disassembler) SetObserver(o *InferenceObserver) { d.observer = o }
 func (d *Disassembler) Observer() *InferenceObserver { return d.observer }
 
 // DriftBaseline returns the training-time drift reference of the group
-// pipeline (the shared front of the hierarchy), or nil for templates saved
-// by builds predating drift support.
+// pipeline (the shared front of the hierarchy), or nil for an untrained
+// disassembler.
 func (d *Disassembler) DriftBaseline() *features.FeatureBaseline {
 	if d.group.pipe == nil {
 		return nil
@@ -47,20 +46,14 @@ func (d *Disassembler) DriftBaseline() *features.FeatureBaseline {
 	return d.group.pipe.DriftBaseline()
 }
 
-// ErrNoDriftBaseline is returned by NewDriftMonitor for templates that
-// predate drift support (format version 1): they carry no training-time
-// feature statistics to compare against.
-var ErrNoDriftBaseline = errors.New("core: template lacks a drift baseline (saved by an older build); retrain to enable drift monitoring")
-
 // NewDriftMonitor builds a covariate-shift monitor against this
-// disassembler's training baseline.
+// disassembler's training baseline. Every trained or loaded template
+// carries one (files without it are rejected at load), so the only failure
+// is an untrained disassembler.
 func (d *Disassembler) NewDriftMonitor(cfg obs.DriftConfig) (*obs.DriftMonitor, error) {
-	if d.group.pipe == nil {
-		return nil, ErrNotTrained
-	}
 	b := d.DriftBaseline()
 	if b == nil {
-		return nil, ErrNoDriftBaseline
+		return nil, ErrNotTrained
 	}
 	return obs.NewDriftMonitor(obs.DriftBaseline{Names: b.Names, Mean: b.Mean, Std: b.Std}, cfg)
 }
@@ -100,21 +93,32 @@ func predictScored(clf ml.Classifier, f []float64) (ml.ScoredPrediction, error) 
 	return ml.ScoredPrediction{Label: lbl, RunnerUp: -1, Confidence: 1, Margin: 1}, nil
 }
 
-// classifyScalogramScored is classifyScalogram with per-level confidence:
-// the same hierarchy walk against the shared raw scalogram, using
-// PredictScored — which returns the exact label Predict would — and
-// accumulating a DecisionLevel per stage.
-func (d *Disassembler) classifyScalogramScored(flat []float64, tsp *obs.SpanHandle) (Decision, error) {
-	return d.classifyExtractScored(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractFromScalogram(flat)
-	}, tsp)
+// levelExtractor maps one hierarchy level's pipeline and the trace being
+// walked to that level's classifier input.
+type levelExtractor func(pl *features.Pipeline, trace []float64) ([]float64, error)
+
+// traceExtractor picks the level extractor for one validated trace. It is
+// the one seam of the hierarchy walk: production passes sparseExtractor,
+// and the package tests swap in a full-CWT oracle to prove the sparse path
+// decodes identically.
+type traceExtractor func(d *Disassembler, trace []float64) levelExtractor
+
+// sparseExtractor evaluates, per level, only that level's selected
+// time–frequency cells as direct dot products (features.Pipeline.
+// ExtractSparse): no full scalogram is ever materialized. It returns the
+// same static function for every trace, so the choice costs no allocation.
+func sparseExtractor(*Disassembler, []float64) levelExtractor {
+	return (*features.Pipeline).ExtractSparse
 }
 
-// classifyExtractScored is classifyExtract with per-level confidence — the
-// scored twin shared by the full and sparse paths. tsp, when non-nil, is the
-// per-trace parent span; each hierarchy level records a wall-only child span
-// under it (core.classify.group/instr/rd/rr).
-func (d *Disassembler) classifyExtractScored(extract func(*features.Pipeline) ([]float64, error), tsp *obs.SpanHandle) (Decision, error) {
+// walk is the hierarchical classification: group, then the instruction
+// inside that group, then the Rd/Rr operand registers the class carries.
+// Each level extracts its features with extract and decides through
+// PredictScored — which returns the exact label Predict would — so the
+// walk yields the label and a DecisionLevel per stage in one pass. tsp, when
+// non-nil, is the per-trace parent span; each hierarchy level records a
+// wall-only child span under it (core.classify.group/instr/rd/rr).
+func (d *Disassembler) walk(trace []float64, extract levelExtractor, tsp *obs.SpanHandle) (Decision, error) {
 	dec := Decision{Confidence: 1, Levels: make([]obs.DecisionLevel, 0, 4)}
 	// post lets a level rewrite its decision before it is recorded — the
 	// group level uses it to restrict routing to trained groups
@@ -125,7 +129,7 @@ func (d *Disassembler) classifyExtractScored(extract func(*features.Pipeline) ([
 			lsp = tsp.Child("core.classify." + name)
 			defer lsp.End()
 		}
-		f, err := extract(lvl.pipe)
+		f, err := extract(lvl.pipe, trace)
 		if err != nil {
 			return 0, fmt.Errorf("core: %s features: %w", name, err)
 		}
@@ -191,12 +195,11 @@ func (d *Disassembler) classifyExtractScored(extract func(*features.Pipeline) ([
 	return dec, nil
 }
 
-// classifyScored validates and classifies one trace on the scored path,
-// also assembling the drift vector from the shared scalogram when a drift
-// monitor is installed (so drift monitoring costs no extra CWT). It does
-// NOT feed the observer — callers decide between inline (streaming) and
-// serial in-order (batch) feeding.
-func (d *Disassembler) classifyScored(trace []float64, tsp *obs.SpanHandle) (Decision, []float64, error) {
+// classifyScored validates and classifies one trace, also assembling the
+// drift vector when a drift monitor is installed. It does NOT feed the
+// observer — callers decide between inline (streaming) and serial in-order
+// (batch) feeding.
+func (d *Disassembler) classifyScored(trace []float64, extract traceExtractor, tsp *obs.SpanHandle) (Decision, []float64, error) {
 	if d.group.pipe == nil || d.group.clf == nil {
 		return Decision{}, nil, ErrNotTrained
 	}
@@ -204,23 +207,7 @@ func (d *Disassembler) classifyScored(trace []float64, tsp *obs.SpanHandle) (Dec
 		met().rejected.Inc()
 		return Decision{}, nil, fmt.Errorf("core: rejecting trace: %w", err)
 	}
-	var (
-		dec Decision
-		err error
-	)
-	if d.SparseEnabled() {
-		met().sparseTraces.Inc()
-		dec, err = d.classifyExtractScored(func(pl *features.Pipeline) ([]float64, error) {
-			return pl.ExtractSparse(trace)
-		}, tsp)
-	} else {
-		var flat []float64
-		if flat, err = d.group.pipe.RawScalogram(trace); err != nil {
-			met().rejected.Inc()
-			return Decision{}, nil, fmt.Errorf("core: group features: %w", err)
-		}
-		dec, err = d.classifyScalogramScored(flat, tsp)
-	}
+	dec, err := d.walk(trace, extract(d, trace), tsp)
 	if err != nil {
 		met().rejected.Inc()
 		return Decision{}, nil, err
@@ -277,10 +264,9 @@ func (d *Disassembler) ObserveTrace(trace []float64) error {
 }
 
 // ClassifyScored decodes a single power trace with per-level confidence,
-// feeding the installed observer inline — the streaming path. The label is
-// identical to Classify's on the same trace.
+// feeding the installed observer inline — the streaming path.
 func (d *Disassembler) ClassifyScored(trace []float64) (Decision, error) {
-	dec, dv, err := d.classifyScored(trace, nil)
+	dec, dv, err := d.classifyScored(trace, sparseExtractor, nil)
 	if err != nil {
 		return Decision{}, err
 	}

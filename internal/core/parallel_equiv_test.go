@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/avr"
-	"repro/internal/dsp"
 	"repro/internal/parallel"
 	"repro/internal/power"
 )
@@ -35,11 +34,11 @@ func acquireTestTraces(t *testing.T, cfg TrainerConfig, classes []avr.Class, per
 	return traces
 }
 
-// TestClassifyOneTransformPerTrace pins the cost invariants of both inference
-// paths: with sparse off, a hierarchical classification — group, instruction,
-// and (when trained) Rd/Rr levels — costs exactly one full CWT per trace and
-// Disassemble costs exactly len(traces); on the sparse path it costs ZERO
-// full CWTs — only per-level sparse evaluations.
+// TestClassifyOneTransformPerTrace pins the cost invariants of the inference
+// path and its oracle: production Classify and Disassemble run ZERO full
+// CWTs — only per-level sparse evaluations — while the full-CWT oracle
+// costs exactly one transform per trace, shared by every hierarchy level
+// (group, instruction, and Rd/Rr when trained), and decodes identically.
 func TestClassifyOneTransformPerTrace(t *testing.T) {
 	cfg := smallConfig()
 	classes := []avr.Class{avr.OpADD, avr.OpAND, avr.OpLDI, avr.OpSEC}
@@ -48,49 +47,49 @@ func TestClassifyOneTransformPerTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := acquireTestTraces(t, cfg, classes, 3)
+	const full, sparse = "dsp.cwt.transforms", "dsp.cwt.sparse.transforms"
 
-	if err := d.SetSparseMode(SparseOff); err != nil {
+	before := dspCount(t, full)
+	if _, _, err := d.classifyScored(traces[0], fullCWTExtractor, nil); err != nil {
 		t.Fatal(err)
 	}
-	before := dsp.TransformCount()
+	if got := dspCount(t, full) - before; got != 1 {
+		t.Fatalf("oracle classification ran %d CWTs, want exactly 1", got)
+	}
+	before = dspCount(t, full)
+	want, err := disassembleFullCWT(d, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dspCount(t, full) - before; got != int64(len(traces)) {
+		t.Fatalf("oracle Disassemble of %d traces ran %d CWTs, want exactly %d", len(traces), got, len(traces))
+	}
+
+	// Production: no full transform at all, and one sparse evaluation per
+	// hierarchy level actually consulted (group + instr here).
+	before = dspCount(t, full)
+	sparseBefore := dspCount(t, sparse)
 	if _, err := d.Classify(traces[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := dsp.TransformCount() - before; got != 1 {
-		t.Fatalf("Classify ran %d CWTs, want exactly 1", got)
+	if got := dspCount(t, full) - before; got != 0 {
+		t.Fatalf("Classify ran %d full CWTs, want 0", got)
 	}
-
-	before = dsp.TransformCount()
-	if _, err := d.Disassemble(traces); err != nil {
+	if got := dspCount(t, sparse) - sparseBefore; got != 2 {
+		t.Fatalf("Classify ran %d sparse evaluations, want 2 (group + instr)", got)
+	}
+	before = dspCount(t, full)
+	got, err := d.Disassemble(traces)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dsp.TransformCount() - before; got != uint64(len(traces)) {
-		t.Fatalf("Disassemble of %d traces ran %d CWTs, want exactly %d", len(traces), got, len(traces))
+	if n := dspCount(t, full) - before; n != 0 {
+		t.Fatalf("Disassemble of %d traces ran %d full CWTs, want 0", len(traces), n)
 	}
-
-	// Sparse path: no full transform at all, and at least one sparse
-	// evaluation per hierarchy level actually consulted (group + instr here).
-	if err := d.SetSparseMode(SparseOn); err != nil {
-		t.Fatal(err)
-	}
-	before = dsp.TransformCount()
-	sparseBefore := dsp.SparseTransformCount()
-	if _, err := d.Classify(traces[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := dsp.TransformCount() - before; got != 0 {
-		t.Fatalf("sparse Classify ran %d full CWTs, want 0", got)
-	}
-	if got := dsp.SparseTransformCount() - sparseBefore; got != 2 {
-		t.Fatalf("sparse Classify ran %d sparse evaluations, want 2 (group + instr)", got)
-	}
-
-	before = dsp.TransformCount()
-	if _, err := d.Disassemble(traces); err != nil {
-		t.Fatal(err)
-	}
-	if got := dsp.TransformCount() - before; got != 0 {
-		t.Fatalf("sparse Disassemble of %d traces ran %d full CWTs, want 0", len(traces), got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -116,12 +115,19 @@ func TestDisassembleParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Fatalf("lengths differ: %d vs %d", len(want), len(got))
+	oracle, err := disassembleFullCWT(d, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) || len(want) != len(oracle) {
+		t.Fatalf("lengths differ: %d vs %d vs oracle %d", len(want), len(got), len(oracle))
 	}
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("trace %d decoded differently: %+v vs %+v", i, want[i], got[i])
+		}
+		if oracle[i] != want[i] {
+			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle %+v", i, want[i], oracle[i])
 		}
 	}
 

@@ -1,69 +1,97 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"repro/internal/avr"
+	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/store"
 )
 
-// Schema v4: the flat, checksummed, lazily loadable template container
-// (internal/store). This file converts between the Disassembler and the
-// store's exported TemplateState, and provides the Template handle serving
-// uses for two-phase loading — a cheap header-only open followed by section
-// materialization on the first decode. The gob lineage (v1–v3) stays fully
-// supported through Save/Load; LoadFile and OpenTemplate sniff the magic
-// bytes and route to the right decoder.
+// Template persistence. Profiling is by far the most expensive step of the
+// flow (the paper uploads 10–19 program files per class and captures
+// thousands of traces), so a trained Disassembler is saved once and shipped
+// with a monitoring appliance. The one on-disk format is schema v4, the
+// flat, checksummed, lazily loadable container of internal/store. This file
+// converts between the Disassembler and the store's exported TemplateState,
+// and provides the Template handle serving uses for two-phase loading — a
+// cheap header-only open followed by section materialization on the first
+// decode.
 
-// TemplateFormat names the on-disk format of a template file.
-type TemplateFormat string
+// ErrTemplateFormat is wrapped into every load failure caused by the
+// template file itself — a bad magic or version, truncated or corrupted
+// bytes, a damaged section, or decoded state that fails validation
+// (including state written by retired builds, which must be retrained).
+// Callers distinguish "bad file" from I/O errors with errors.Is.
+var ErrTemplateFormat = errors.New("core: invalid template file")
 
-const (
-	// FormatGob is the v1–v3 whole-file gob lineage (core.Save).
-	FormatGob TemplateFormat = "gob"
-	// FormatV4 is the flat section-addressed store (store.Write).
-	FormatV4 TemplateFormat = "v4"
-)
+// snapshotLevel converts one trained level into storable form, including
+// its precomputed sparse kernel table.
+func snapshotLevel(lvl groupLevel) (store.LevelState, error) {
+	if lvl.pipe == nil || lvl.clf == nil {
+		return store.LevelState{}, nil // untrained level
+	}
+	ps, err := lvl.pipe.State()
+	if err != nil {
+		return store.LevelState{}, err
+	}
+	cs, err := ml.SnapshotClassifier(lvl.clf)
+	if err != nil {
+		return store.LevelState{}, err
+	}
+	t, err := lvl.pipe.SparseTable()
+	if err != nil {
+		return store.LevelState{}, fmt.Errorf("kernel table: %w", err)
+	}
+	return store.LevelState{Present: true, Pipe: ps, Clf: cs, Sparse: t}, nil
+}
 
-// templateState converts the trained set into the store's exported state,
-// including each sparse-capable level's precomputed kernel table.
+// restoreLevel rebuilds one level from materialized state. A persisted
+// kernel table must match the fitted state it rides with.
+func restoreLevel(ls store.LevelState) (groupLevel, error) {
+	if !ls.Present {
+		return groupLevel{}, nil
+	}
+	pipe, err := features.PipelineFromState(ls.Pipe)
+	if err != nil {
+		return groupLevel{}, err
+	}
+	if err := pipe.InstallSparseTable(ls.Sparse); err != nil {
+		return groupLevel{}, err
+	}
+	clf, err := ml.RestoreClassifier(ls.Clf)
+	if err != nil {
+		return groupLevel{}, err
+	}
+	return groupLevel{pipe: pipe, clf: clf}, nil
+}
+
+// templateState converts the trained set into the store's exported state.
 func (d *Disassembler) templateState() (*store.TemplateState, error) {
 	if d.group.pipe == nil {
 		return nil, errors.New("core: cannot save an untrained disassembler")
 	}
-	toLevel := func(lvl groupLevel, what string) (store.LevelState, error) {
-		ls, err := snapshotLevel(lvl)
-		if err != nil || !ls.Present {
-			return store.LevelState{}, err
-		}
-		out := store.LevelState{Present: true, Pipe: ls.Pipe, Clf: ls.Clf}
-		t, err := lvl.pipe.SparseTable()
-		if err != nil {
-			return store.LevelState{}, fmt.Errorf("%s kernel table: %w", what, err)
-		}
-		out.Sparse = t
-		return out, nil
-	}
 	st := &store.TemplateState{HaveRegs: d.haveRegs}
 	var err error
-	if st.Group, err = toLevel(d.group, "group level"); err != nil {
+	if st.Group, err = snapshotLevel(d.group); err != nil {
 		return nil, fmt.Errorf("core: saving group level: %w", err)
 	}
 	for i := range d.instr {
-		if st.Instr[i], err = toLevel(d.instr[i], fmt.Sprintf("group %d level", i+1)); err != nil {
+		if st.Instr[i], err = snapshotLevel(d.instr[i]); err != nil {
 			return nil, fmt.Errorf("core: saving group %d level: %w", i+1, err)
 		}
 		st.InstrClass[i] = d.instrClass[i]
 	}
 	if d.haveRegs {
-		if st.Rd, err = toLevel(d.rd, "Rd level"); err != nil {
+		if st.Rd, err = snapshotLevel(d.rd); err != nil {
 			return nil, fmt.Errorf("core: saving Rd level: %w", err)
 		}
-		if st.Rr, err = toLevel(d.rr, "Rr level"); err != nil {
+		if st.Rr, err = snapshotLevel(d.rr); err != nil {
 			return nil, fmt.Errorf("core: saving Rr level: %w", err)
 		}
 	}
@@ -89,32 +117,19 @@ func (d *Disassembler) SaveStoreFile(path string, opts store.Options) error {
 }
 
 // disassemblerFromTemplateState rebuilds a Disassembler from materialized
-// store state, applying the same screening as the gob path: class tables
-// are validated against the ISA, every failure wraps ErrTemplateFormat, and
-// a persisted kernel table must match the fitted state it rides with.
+// store state: class tables are validated against the ISA so a corrupted
+// file cannot smuggle in a panic, and every failure wraps ErrTemplateFormat.
 func disassemblerFromTemplateState(st *store.TemplateState) (*Disassembler, error) {
-	fromLevel := func(ls store.LevelState) (groupLevel, error) {
-		lvl, err := restoreLevel(levelState{Present: ls.Present, Pipe: ls.Pipe, Clf: ls.Clf})
-		if err != nil || !ls.Present {
-			return lvl, err
-		}
-		if ls.Sparse != nil {
-			if err := lvl.pipe.InstallSparseTable(ls.Sparse); err != nil {
-				return groupLevel{}, err
-			}
-		}
-		return lvl, nil
-	}
 	d := &Disassembler{haveRegs: st.HaveRegs}
 	var err error
-	if d.group, err = fromLevel(st.Group); err != nil {
+	if d.group, err = restoreLevel(st.Group); err != nil {
 		return nil, fmt.Errorf("%w: restoring group level: %w", ErrTemplateFormat, err)
 	}
 	if d.group.pipe == nil {
 		return nil, fmt.Errorf("%w: file lacks a group level", ErrTemplateFormat)
 	}
 	for i := range d.instr {
-		if d.instr[i], err = fromLevel(st.Instr[i]); err != nil {
+		if d.instr[i], err = restoreLevel(st.Instr[i]); err != nil {
 			return nil, fmt.Errorf("%w: restoring group %d level: %w", ErrTemplateFormat, i+1, err)
 		}
 		for _, c := range st.InstrClass[i] {
@@ -125,26 +140,22 @@ func disassemblerFromTemplateState(st *store.TemplateState) (*Disassembler, erro
 		d.instrClass[i] = st.InstrClass[i]
 	}
 	if st.HaveRegs {
-		if d.rd, err = fromLevel(st.Rd); err != nil {
+		if d.rd, err = restoreLevel(st.Rd); err != nil {
 			return nil, fmt.Errorf("%w: restoring Rd level: %w", ErrTemplateFormat, err)
 		}
-		if d.rr, err = fromLevel(st.Rr); err != nil {
+		if d.rr, err = restoreLevel(st.Rr); err != nil {
 			return nil, fmt.Errorf("%w: restoring Rr level: %w", ErrTemplateFormat, err)
 		}
 	}
 	return d, nil
 }
 
-// Template is a two-phase handle on a template file of either format. Open
-// is cheap: a v4 file decodes only its header (shape questions — TraceLen,
-// Quantized — answer immediately); the matrices materialize on the first
-// Disassembler call and the result (or error) is remembered. For gob files
-// there is no header/payload split, so materialization happens eagerly at
-// OpenTemplate and Disassembler never fails afterwards.
+// Template is a two-phase handle on a template file. Open is cheap: only
+// the header decodes (shape questions — TraceLen, Quantized — answer
+// immediately); the matrices materialize on the first Disassembler call and
+// the result (or error) is remembered.
 type Template struct {
-	format TemplateFormat
-	path   string
-	f      *store.File // v4 only
+	f *store.File
 
 	mu   sync.Mutex
 	done bool
@@ -152,61 +163,69 @@ type Template struct {
 	err  error
 }
 
-// OpenTemplate sniffs path's format and opens it. v4 files have their
-// header decoded and validated (bad files fail here, wrapping
-// ErrTemplateFormat); gob files are fully loaded — the legacy cost this
-// format exists to avoid, paid only for legacy files.
-func OpenTemplate(path string) (*Template, error) {
-	fh, err := os.Open(path)
+// openStore screens a store file that just opened (or failed to): a
+// defect of the file wraps ErrTemplateFormat while I/O errors pass through,
+// and the header must carry a group level.
+func openStore(sf *store.File, err error) (*store.File, error) {
+	if errors.Is(err, store.ErrFormat) {
+		return nil, fmt.Errorf("%w: %w", ErrTemplateFormat, err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var magic [4]byte
-	_, rerr := io.ReadFull(fh, magic[:])
-	fh.Close()
-	if rerr == nil && string(magic[:]) == store.Magic {
-		sf, err := store.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrTemplateFormat, err)
-		}
-		hs := sf.HeaderState()
-		if !hs.Group.Present || hs.Group.Pipe == nil || hs.Group.Pipe.TraceLen <= 0 {
-			sf.Close()
-			return nil, fmt.Errorf("%w: file lacks a group level", ErrTemplateFormat)
-		}
-		return &Template{format: FormatV4, path: path, f: sf}, nil
+	if hs := sf.HeaderState(); !hs.Group.Present || hs.Group.Pipe == nil || hs.Group.Pipe.TraceLen <= 0 {
+		sf.Close()
+		return nil, fmt.Errorf("%w: file lacks a group level", ErrTemplateFormat)
 	}
-	t := &Template{format: FormatGob, path: path, done: true}
-	fh, err = os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	if t.d, err = Load(fh); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return sf, nil
 }
 
-// Format reports the file's on-disk format.
-func (t *Template) Format() TemplateFormat { return t.format }
+// OpenTemplate opens path and decodes and validates its header; a bad file
+// fails here, wrapping ErrTemplateFormat. A missing or unreadable file
+// fails with its I/O error.
+func OpenTemplate(path string) (*Template, error) {
+	sf, err := openStore(store.Open(path))
+	if err != nil {
+		return nil, err
+	}
+	return &Template{f: sf}, nil
+}
 
-// Quantized reports whether a v4 file's matrix sections are float32-encoded.
-func (t *Template) Quantized() bool { return t.f != nil && t.f.Quantized() }
+// Load reads a whole template set from r: the header and every section are
+// decoded, CRC-checked and restored. A defective stream — truncated or
+// bit-flipped bytes, a schema this build does not know, class tables holding
+// undefined instruction classes, or state that fails reconstruction —
+// yields a descriptive error wrapping ErrTemplateFormat and never a panic or
+// a partially initialized Disassembler.
+func Load(r io.Reader) (*Disassembler, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	sf, err := openStore(store.OpenReaderAt(bytes.NewReader(b), int64(len(b))))
+	if err != nil {
+		return nil, err
+	}
+	defer sf.Close()
+	return materialize(sf)
+}
+
+// materialize loads every section of sf and rebuilds the hierarchy.
+func materialize(sf *store.File) (*Disassembler, error) {
+	st, err := sf.Template()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTemplateFormat, err)
+	}
+	return disassemblerFromTemplateState(st)
+}
+
+// Quantized reports whether the file's matrix sections are float32-encoded.
+func (t *Template) Quantized() bool { return t.f.Quantized() }
 
 // TraceLen answers from the header alone — no sections are touched.
-func (t *Template) TraceLen() int {
-	if t.f != nil {
-		return t.f.HeaderState().Group.Pipe.TraceLen
-	}
-	if t.d != nil {
-		return t.d.TraceLen()
-	}
-	return 0
-}
+func (t *Template) TraceLen() int { return t.f.HeaderState().Group.Pipe.TraceLen }
 
-// Materialized reports whether the Disassembler has been built (always true
-// for gob files, which load whole).
+// Materialized reports whether the Disassembler has been built.
 func (t *Template) Materialized() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -214,13 +233,8 @@ func (t *Template) Materialized() bool {
 }
 
 // ResidentBytes reports the decoded section bytes currently attributed to
-// this handle (0 for gob files, whose whole decode is not section-tracked).
-func (t *Template) ResidentBytes() int64 {
-	if t.f == nil {
-		return 0
-	}
-	return t.f.ResidentBytes()
-}
+// this handle.
+func (t *Template) ResidentBytes() int64 { return t.f.ResidentBytes() }
 
 // Disassembler materializes the template on first call: every section is
 // loaded, CRC-checked and reattached, and the hierarchy is rebuilt with the
@@ -234,28 +248,20 @@ func (t *Template) Disassembler() (*Disassembler, error) {
 		return t.d, t.err
 	}
 	t.done = true
-	st, err := t.f.Template()
-	if err != nil {
-		t.err = fmt.Errorf("%w: %w", ErrTemplateFormat, err)
-		return nil, t.err
-	}
-	t.d, t.err = disassemblerFromTemplateState(st)
+	t.d, t.err = materialize(t.f)
 	return t.d, t.err
 }
 
-// Close releases the underlying store file (no-op for gob). A materialized
-// Disassembler stays valid — its state lives on the heap — but an
-// unmaterialized v4 handle can no longer materialize.
+// Close releases the underlying store file. A materialized Disassembler
+// stays valid — its state lives on the heap — but an unmaterialized handle
+// can no longer materialize.
 func (t *Template) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.f == nil {
-		return nil
-	}
 	return t.f.Close()
 }
 
-// LoadFile loads a template of either format whole — the one-shot CLI path.
+// LoadFile loads a template file whole — the one-shot CLI path.
 // The two-phase Template handle is for servers that want the header now and
 // the matrices later.
 func LoadFile(path string) (*Disassembler, error) {

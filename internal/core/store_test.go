@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/store"
 )
 
@@ -37,9 +38,6 @@ func TestStoreLazyEqualsEagerDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tpl.Close()
-	if tpl.Format() != FormatV4 {
-		t.Fatalf("format = %q, want v4", tpl.Format())
-	}
 	if tpl.Quantized() {
 		t.Fatal("unquantized save reports Quantized")
 	}
@@ -79,64 +77,56 @@ func TestStoreLazyEqualsEagerDecode(t *testing.T) {
 	}
 }
 
-// TestStoreConvertChain covers the migration path end to end: gob save →
-// LoadFile (sniffs gob) → v4 save → LoadFile (sniffs v4) with identical
-// decodes at every hop, plus the gob handle's eager semantics.
+// TestStoreConvertChain covers the `scdis convert` path end to end: a v4
+// file reloads (LoadFile) and re-saves with identical decodes, and
+// quantizing is a one-way step — re-converting a quantized template is
+// lossless, so its decodes never drift across repeated conversions.
 func TestStoreConvertChain(t *testing.T) {
 	d, traces := sharedFixture(t)
+	dir := t.TempDir()
+	decodeFile := func(path string) []Decoded {
+		t.Helper()
+		ld, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decs, err := ld.Disassemble(traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decs
+	}
+	convert := func(in, out string, quantize bool) {
+		t.Helper()
+		ld, err := LoadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ld.SaveStoreFile(out, store.Options{Quantize: quantize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string, got, want []Decoded) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s decode %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
 	want, err := d.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	plain := saveV4(t, d, store.Options{})
+	again := filepath.Join(dir, "again.tpl")
+	convert(plain, again, false)
+	same("converted", decodeFile(again), want)
 
-	gobPath := filepath.Join(dir, "legacy.tpl")
-	f, err := os.Create(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// OpenTemplate on a gob file: format sniffed, loaded whole at open.
-	gt, err := OpenTemplate(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gt.Close()
-	if gt.Format() != FormatGob || !gt.Materialized() || gt.Quantized() {
-		t.Fatalf("gob handle: format=%q materialized=%v quantized=%v", gt.Format(), gt.Materialized(), gt.Quantized())
-	}
-	if gt.TraceLen() != d.TraceLen() {
-		t.Fatalf("gob handle TraceLen = %d, want %d", gt.TraceLen(), d.TraceLen())
-	}
-
-	// The conversion a `scdis convert` run performs.
-	loaded, err := LoadFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4Path := filepath.Join(dir, "converted.tpl")
-	if err := loaded.SaveStoreFile(v4Path, store.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	conv, err := LoadFile(v4Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := conv.Disassemble(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("converted decode %d = %+v, original %+v", i, got[i], want[i])
-		}
-	}
+	q1, q2 := filepath.Join(dir, "q1.tpl"), filepath.Join(dir, "q2.tpl")
+	convert(plain, q1, true)
+	convert(q1, q2, true)
+	same("re-quantized", decodeFile(q2), decodeFile(q1))
 }
 
 // TestStoreQuantizedTemplateClassifies pins that a float32-quantized template
@@ -225,7 +215,8 @@ func TestStoreCorruptSectionFailsClosed(t *testing.T) {
 	}
 }
 
-// TestOpenTemplateRejectsDefectiveFiles covers the sniffing edge cases.
+// TestOpenTemplateRejectsDefectiveFiles covers the open-time edge cases: a
+// missing file is an I/O error, anything else defective is a format error.
 func TestOpenTemplateRejectsDefectiveFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, b []byte) string {
@@ -235,12 +226,13 @@ func TestOpenTemplateRejectsDefectiveFiles(t *testing.T) {
 		}
 		return p
 	}
-	if _, err := OpenTemplate(filepath.Join(dir, "missing.tpl")); err == nil {
-		t.Fatal("missing file accepted")
+	if _, err := OpenTemplate(filepath.Join(dir, "missing.tpl")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: %v, want os.ErrNotExist", err)
 	}
-	// Garbage without the v4 magic routes to the gob loader.
+	// Garbage without the v4 magic — including any file of the retired
+	// gob format — fails the magic check.
 	if _, err := OpenTemplate(write("junk.tpl", []byte("junk template bytes"))); !errors.Is(err, ErrTemplateFormat) {
-		t.Fatalf("gob-routed junk: %v, want ErrTemplateFormat", err)
+		t.Fatalf("junk: %v, want ErrTemplateFormat", err)
 	}
 	// The v4 magic followed by garbage fails the store's screens.
 	if _, err := OpenTemplate(write("sct4.tpl", append([]byte(store.Magic), bytes.Repeat([]byte{0xAB}, 64)...))); !errors.Is(err, ErrTemplateFormat) {
@@ -273,4 +265,71 @@ func headErr(tpl *Template) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// TestOpenTemplateRejectsLegacyState pins the one-path contract for state
+// that retired builds wrote and an earlier conversion carried into a v4
+// file: scalogram-plane normalization (PerTraceNorm with a NormMode other
+// than NormTrace) and a missing drift baseline. There is no inference path
+// left for either, so materialization — through a Template handle or
+// through Load — must fail with ErrTemplateFormat and tell the operator to
+// retrain, never decode.
+func TestOpenTemplateRejectsLegacyState(t *testing.T) {
+	d, traces := sharedFixture(t)
+	cases := map[string]func(*features.PipelineState){
+		"plane-normalization": func(ps *features.PipelineState) {
+			if !ps.Cfg.PerTraceNorm {
+				t.Fatal("fixture premise broken: template is not CSA-normalized")
+			}
+			ps.Cfg.NormMode = 0
+		},
+		"no-drift-baseline": func(ps *features.PipelineState) { ps.Baseline = nil },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			st, err := d.templateState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(st.Group.Pipe)
+			for i := range st.Instr {
+				if st.Instr[i].Present {
+					mutate(st.Instr[i].Pipe)
+				}
+			}
+			path := filepath.Join(t.TempDir(), "legacy.tpl")
+			if err := store.WriteFile(path, st, store.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			check := func(how string, ld *Disassembler, err error) {
+				t.Helper()
+				if ld != nil || !errors.Is(err, ErrTemplateFormat) || !strings.Contains(err.Error(), "retrain") {
+					t.Fatalf("%s: got (%v, %v), want ErrTemplateFormat with a retrain message", how, ld, err)
+				}
+			}
+			tpl, err := OpenTemplate(path)
+			if err == nil {
+				defer tpl.Close()
+				ld, err := tpl.Disassembler()
+				check("materialize", ld, err)
+			} else {
+				check("open", nil, err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ld, err := Load(bytes.NewReader(raw))
+			check("Load", ld, err)
+		})
+	}
+	// The unmodified state still decodes: the rejection is about the
+	// legacy markers, not the round trip.
+	back, err := Load(bytes.NewReader(saveBytes(t, d)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.Disassemble(traces); err != nil {
+		t.Fatal(err)
+	}
 }

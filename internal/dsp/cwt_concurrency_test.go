@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -96,8 +97,9 @@ func TestTransformFlatBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTransformCountHook verifies the instrumentation the redundancy tests
-// build on: one bump per trace, for both single and batch transforms.
+// TestTransformCountHook verifies the dsp.cwt.transforms registry counter
+// the redundancy tests build on: one bump per trace, for both single and
+// batch transforms.
 func TestTransformCountHook(t *testing.T) {
 	c, err := NewCWT(6, 2, 20)
 	if err != nil {
@@ -105,17 +107,31 @@ func TestTransformCountHook(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	x := randSignal(rng, 50)
-	before := TransformCount()
+	before := transformsCounted(t)
 	c.Transform(x)
 	c.TransformFlat(x)
-	if got := TransformCount() - before; got != 2 {
+	if got := transformsCounted(t) - before; got != 2 {
 		t.Fatalf("2 single transforms counted as %d", got)
 	}
-	before = TransformCount()
+	before = transformsCounted(t)
 	if _, err := c.TransformFlatBatch([][]float64{x, x, x}); err != nil {
 		t.Fatal(err)
 	}
-	if got := TransformCount() - before; got != 3 {
+	if got := transformsCounted(t) - before; got != 3 {
 		t.Fatalf("batch of 3 counted as %d", got)
 	}
+}
+
+// transformsCounted reads the process-wide full-CWT count through the
+// registry's dsp.cwt.transforms counter, installing a registry for the test
+// when none is set.
+func transformsCounted(t *testing.T) int64 {
+	t.Helper()
+	reg := obs.Default()
+	if reg == nil {
+		reg = obs.NewRegistry()
+		obs.SetDefault(reg)
+		t.Cleanup(func() { obs.SetDefault(nil) })
+	}
+	return reg.Snapshot().Counters["dsp.cwt.transforms"]
 }

@@ -48,8 +48,7 @@ func init() {
 
 // SparseTransformCount returns the cumulative number of sparse evaluations
 // (Values/ValuesInto calls, and per-trace items of ValuesBatch) since process
-// start. Together with TransformCount it lets tests assert which path a
-// classification took.
+// start.
 func SparseTransformCount() uint64 { return uint64(sparseTransformCount.Value()) }
 
 // SparseCellCount returns the cumulative number of time–frequency cells

@@ -57,8 +57,7 @@ func buildBaseline(traceMoments *PointStats) *FeatureBaseline {
 	return b
 }
 
-// DriftBaseline returns the training-time drift reference, or nil when the
-// pipeline was restored from a template predating drift support.
+// DriftBaseline returns the training-time drift reference.
 func (pl *Pipeline) DriftBaseline() *FeatureBaseline { return pl.baseline }
 
 // DriftVector assembles the covariate-shift monitoring vector of one trace:

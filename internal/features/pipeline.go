@@ -49,24 +49,18 @@ func init() {
 	})
 }
 
-// NormMode selects how PerTraceNorm is applied.
+// NormMode records how PerTraceNorm was applied when a pipeline was fitted.
+// It is persisted with the template as a format marker only: NormTrace is
+// the one mode this build fits, and PipelineFromState rejects anything else
+// (the zero value marks state from builds that normalized the scalogram
+// plane, which no sparse per-cell path can reproduce).
 type NormMode int
 
-const (
-	// NormScalogram is the legacy covariate-shift normalization: the
-	// scalogram plane is standardized by its own mean/std. Because the
-	// moments are taken over all Scales×TraceLen cells, this mode requires
-	// the full CWT at inference — templates fitted with it cannot use the
-	// sparse path. The zero value, so states persisted before NormMode
-	// existed keep their exact numerics.
-	NormScalogram NormMode = iota
-	// NormTrace standardizes the trace in the time domain *before* the CWT.
-	// The CWT is linear, so a per-trace gain/offset is cancelled exactly —
-	// same covariate-shift rationale as NormScalogram — while the
-	// normalization cost is O(TraceLen) and independent of the scalogram,
-	// which is what makes sparse per-cell inference possible.
-	NormTrace
-)
+// NormTrace standardizes the trace in the time domain *before* the CWT. The
+// CWT is linear, so a per-trace gain/offset is cancelled exactly, while the
+// normalization cost is O(TraceLen) and independent of the scalogram —
+// which is what makes sparse per-cell inference possible.
+const NormTrace NormMode = 1
 
 // PipelineConfig controls the end-to-end feature extraction of Fig. 1:
 // CWT → KL selection → normalization → PCA.
@@ -84,16 +78,16 @@ type PipelineConfig struct {
 	TopPerPair int
 	// NumComponents is the PCA output dimensionality.
 	NumComponents int
-	// PerTraceNorm standardizes each trace's CWT scalogram by its own
-	// mean/std before any statistics, masks, or feature values are taken
-	// from it — the covariate shift adaptation normalization. A program- or
-	// device-level gain/offset moves every coefficient of a trace together,
-	// so this normalization cancels it exactly; the not-varying masks are
-	// then computed on shift-free data and keep the informative points.
+	// PerTraceNorm standardizes each trace by its own time-domain mean/std
+	// before the CWT, so every statistic, mask and feature value is taken
+	// from a normalized trace — the covariate shift adaptation
+	// normalization. A program- or device-level gain/offset moves every
+	// sample of a trace together, so this normalization cancels it exactly;
+	// the not-varying masks are then computed on shift-free data and keep
+	// the informative points.
 	PerTraceNorm bool
-	// NormMode picks the PerTraceNorm mechanism (scalogram-plane vs
-	// time-domain); ignored when PerTraceNorm is off. See NormScalogram /
-	// NormTrace.
+	// NormMode is the persisted marker of the PerTraceNorm mechanism;
+	// FitPipeline sets it to NormTrace whenever PerTraceNorm is on.
 	NormMode NormMode
 	// Standardize applies a training-set z-score before PCA (Fig. 1's
 	// normalization stage).
@@ -117,12 +111,7 @@ func DefaultPipelineConfig() PipelineConfig {
 }
 
 // CSAPipelineConfig returns the covariate-shift-adapted configuration of
-// Section 5.5: tighter KLth and per-trace normalization. Since the sparse
-// inference work the normalization is NormTrace (time-domain) — it cancels a
-// per-trace gain/offset exactly like the plane normalization did, and keeps
-// the fitted template eligible for sparse per-cell inference. Templates
-// trained by older builds carry NormScalogram and keep their numerics (and
-// the full CWT path).
+// Section 5.5: tighter KLth and per-trace (NormTrace) normalization.
 func CSAPipelineConfig() PipelineConfig {
 	cfg := DefaultPipelineConfig()
 	cfg.UseMask = true
@@ -201,6 +190,9 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	}
 	sel.KLth = cfg.KLth
 	sel.TopPerPair = cfg.TopPerPair
+	if cfg.PerTraceNorm {
+		cfg.NormMode = NormTrace
+	}
 	for _, l := range labels {
 		if l < 0 || l >= nClasses {
 			return nil, fmt.Errorf("features: label %d out of range [0,%d)", l, nClasses)
@@ -228,12 +220,12 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	traceMoments := NewPointStats(len(driftFeatureNames))
 	pl := &Pipeline{cfg: cfg, sel: sel, nClasses: nClasses}
 	n := len(traces)
-	// In NormTrace mode the covariate-shift normalization happens in the time
-	// domain, before any CWT: the statistics, masks and selection all see
-	// scalograms of standardized traces. The caller's traces are never
+	// The covariate-shift normalization happens in the time domain, before
+	// any CWT: the statistics, masks and selection all see scalograms of
+	// standardized traces. The caller's traces are never
 	// mutated; the drift baseline below still reads the raw traces.
 	input := traces
-	if pl.needsTraceNorm() {
+	if cfg.PerTraceNorm {
 		input = make([][]float64, n)
 		parallel.For(n, func(k int) {
 			input[k] = stats.NormalizeTrace(traces[k])
@@ -269,11 +261,6 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 				statsSpan.End()
 				return nil, err
 			}
-		}
-		if cfg.PerTraceNorm && cfg.NormMode == NormScalogram {
-			parallel.For(len(sub), func(k int) {
-				stats.NormalizeTraceInto(sub[k], sub[k])
-			})
 		}
 		for i := lo; i < hi; i++ {
 			flat := sub[i-lo]
@@ -438,26 +425,16 @@ func observeSince(h *obs.Histogram, start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// needsTraceNorm reports whether this pipeline standardizes the trace in the
-// time domain before the CWT (NormTrace covariate-shift adaptation).
-func (pl *Pipeline) needsTraceNorm() bool {
-	return pl.cfg.PerTraceNorm && pl.cfg.NormMode == NormTrace
-}
-
-// RawScalogram computes the flattened CWT scalogram of a trace — the shared
-// representation every hierarchy level of a Disassembler extracts from. Pass
-// it to ExtractFromScalogram / PairVectorFromScalogram of any pipeline fitted
-// for the same trace length, bank and NormMode. In NormScalogram mode the
-// plane is un-normalized (the consuming pipeline applies CSA on the fly, so
-// differently configured pipelines can share one scalogram); in NormTrace
-// mode the trace is standardized first — the CWT magnitude is not linear in
-// the trace's affine parameters, so the normalization cannot be deferred past
-// the transform.
+// RawScalogram computes the flattened CWT scalogram of a trace — after the
+// pipeline's time-domain normalization, when it has one. Pass it to
+// ExtractFromScalogram / PairVectorFromScalogram of any pipeline fitted for
+// the same trace length, bank and normalization; the full-CWT test oracle
+// shares one scalogram across every hierarchy level this way.
 func (pl *Pipeline) RawScalogram(trace []float64) ([]float64, error) {
 	if len(trace) != pl.sel.TraceLen {
 		return nil, fmt.Errorf("features: trace length %d, want %d", len(trace), pl.sel.TraceLen)
 	}
-	if pl.needsTraceNorm() {
+	if pl.cfg.PerTraceNorm {
 		return pl.sel.CWT.TransformFlat(stats.NormalizeTrace(trace)), nil
 	}
 	return pl.sel.CWT.TransformFlat(trace), nil
@@ -474,27 +451,12 @@ func (pl *Pipeline) pointsFromNormalized(flat []float64) []float64 {
 }
 
 // rawFeaturesFromScalogram extracts the unified DNVP values from a scalogram
-// produced by RawScalogram. In NormScalogram mode the per-trace normalization
-// is applied on the fly — (v − mean)/std over the full plane, evaluated only
-// at the selected points, bit-identical to normalizing the whole plane first.
-// In NormTrace mode the normalization already happened in the time domain, so
-// the points are read directly.
+// produced by RawScalogram.
 func (pl *Pipeline) rawFeaturesFromScalogram(flat []float64) ([]float64, error) {
 	if len(flat) != pl.sel.numPoints() {
 		return nil, fmt.Errorf("features: scalogram length %d, want %d", len(flat), pl.sel.numPoints())
 	}
-	out := make([]float64, len(pl.Points))
-	if pl.cfg.PerTraceNorm && pl.cfg.NormMode == NormScalogram {
-		m, sd := stats.TraceNormParams(flat)
-		for i, p := range pl.Points {
-			out[i] = (flat[pl.sel.flatIndex(p)] - m) / sd
-		}
-		return out, nil
-	}
-	for i, p := range pl.Points {
-		out[i] = flat[pl.sel.flatIndex(p)]
-	}
-	return out, nil
+	return pl.pointsFromNormalized(flat), nil
 }
 
 // rawFeatures extracts the unified DNVP values of one trace (one CWT).
@@ -528,10 +490,8 @@ func (pl *Pipeline) Extract(trace []float64) ([]float64, error) {
 }
 
 // ExtractFromScalogram maps a precomputed raw scalogram (see RawScalogram)
-// to the final classifier input without re-running the CWT. This is the
-// zero-redundancy path the hierarchical Disassembler classifies through:
-// one scalogram per trace, shared by the group, instruction, Rd and Rr
-// pipelines.
+// to the final classifier input without re-running the CWT: one scalogram
+// per trace can feed the group, instruction, Rd and Rr pipelines alike.
 func (pl *Pipeline) ExtractFromScalogram(flat []float64) ([]float64, error) {
 	f, err := pl.rawFeaturesFromScalogram(flat)
 	if err != nil {

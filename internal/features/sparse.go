@@ -2,7 +2,6 @@ package features
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/dsp"
@@ -17,28 +16,10 @@ import (
 // persisted Points and bank configuration — the cell set IS the template's
 // point set, nothing extra to serialize.
 
-// ErrSparseIncapable is returned by the sparse extraction paths when the
-// pipeline's configuration requires the full scalogram: NormScalogram
-// covariate-shift normalization takes its moments over the entire plane,
-// which no per-cell evaluation can reproduce. Templates fitted by builds
-// predating NormTrace fall into this case and keep using the full path.
-var ErrSparseIncapable = errors.New("features: pipeline not sparse-capable (scalogram-plane normalization needs the full CWT)")
-
-// SparseCapable reports whether this pipeline can extract through the sparse
-// per-cell path: either no per-trace normalization, or time-domain
-// (NormTrace) normalization. NormScalogram templates must use the full path.
-func (pl *Pipeline) SparseCapable() bool {
-	return !pl.cfg.PerTraceNorm || pl.cfg.NormMode == NormTrace
-}
-
 // sparseEval returns the pipeline's per-cell evaluator, building it on first
 // use (thread-safe; the result is cached for the pipeline's lifetime).
 func (pl *Pipeline) sparseEval() (*dsp.SparseCWT, error) {
 	pl.sparseOnce.Do(func() {
-		if !pl.SparseCapable() {
-			pl.sparseErr = ErrSparseIncapable
-			return
-		}
 		cells := make([]dsp.Cell, len(pl.Points))
 		for i, p := range pl.Points {
 			cells[i] = dsp.Cell{Scale: p.Scale, Time: p.Time}
@@ -49,7 +30,7 @@ func (pl *Pipeline) sparseEval() (*dsp.SparseCWT, error) {
 }
 
 // rawFeaturesSparse evaluates the unified DNVP values of one trace through
-// the sparse path: NormTrace standardization (when configured) followed by
+// the sparse path: time-domain standardization (when configured) followed by
 // one dsp.SparseCWT evaluation — len(Points) dot products instead of
 // NumScales full FFT convolutions. Values agree with rawFeatures within
 // testkit.CWTTol.
@@ -61,7 +42,7 @@ func (pl *Pipeline) rawFeaturesSparse(trace []float64) ([]float64, error) {
 	if len(trace) != pl.sel.TraceLen {
 		return nil, fmt.Errorf("features: trace length %d, want %d", len(trace), pl.sel.TraceLen)
 	}
-	if pl.needsTraceNorm() {
+	if pl.cfg.PerTraceNorm {
 		trace = stats.NormalizeTrace(trace)
 	}
 	return sp.Values(trace)
@@ -70,7 +51,6 @@ func (pl *Pipeline) rawFeaturesSparse(trace []float64) ([]float64, error) {
 // ExtractSparse maps one trace to its final classifier input through the
 // sparse per-cell path. It is the drop-in fast twin of Extract: same z-score
 // and PCA stages, point values within testkit.CWTTol of the full-FFT path.
-// Returns ErrSparseIncapable for NormScalogram pipelines.
 func (pl *Pipeline) ExtractSparse(trace []float64) ([]float64, error) {
 	f, err := pl.rawFeaturesSparse(trace)
 	if err != nil {
@@ -88,8 +68,8 @@ func (pl *Pipeline) ExtractSparseAll(traces [][]float64) ([][]float64, error) {
 
 // ExtractSparseAllCtx is ExtractSparseAll with cooperative cancellation.
 func (pl *Pipeline) ExtractSparseAllCtx(ctx context.Context, traces [][]float64) ([][]float64, error) {
-	// Surface an incapable configuration once, up front, instead of from
-	// every worker.
+	// Surface a kernel-build failure once, up front, instead of from every
+	// worker.
 	if _, err := pl.sparseEval(); err != nil {
 		return nil, err
 	}
@@ -131,8 +111,7 @@ func (pl *Pipeline) PairVectorSparse(pair int, trace []float64, maxVars int) ([]
 }
 
 // SparseCells returns the number of time–frequency cells the sparse path
-// evaluates per trace (the size of the unified DNVP set), or 0 with
-// ErrSparseIncapable for full-path-only pipelines.
+// evaluates per trace (the size of the unified DNVP set).
 func (pl *Pipeline) SparseCells() (int, error) {
 	sp, err := pl.sparseEval()
 	if err != nil {

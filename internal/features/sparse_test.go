@@ -1,7 +1,6 @@
 package features
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -27,7 +26,7 @@ func fitTestPipeline(t *testing.T, cfg PipelineConfig) *Pipeline {
 // TestExtractSparseMatchesFull is the tentpole property: on any finite trace,
 // ExtractSparse must agree with the full-FFT path — both the raw composition
 // ExtractFromScalogram(RawScalogram(trace)) and plain Extract — within
-// testkit.CWTTol, for every sparse-capable normalization configuration.
+// testkit.CWTTol, with and without per-trace normalization.
 func TestExtractSparseMatchesFull(t *testing.T) {
 	configs := map[string]PipelineConfig{
 		"no-norm":    DefaultPipelineConfig(),
@@ -36,9 +35,6 @@ func TestExtractSparseMatchesFull(t *testing.T) {
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			pl := fitTestPipeline(t, cfg)
-			if !pl.SparseCapable() {
-				t.Fatalf("config %s should be sparse-capable", name)
-			}
 			testkit.Check(t, testkit.CheckConfig{Runs: 16}, func(g *testkit.G) error {
 				trace := g.Trace(pl.TraceLen())
 				flat, err := pl.RawScalogram(trace)
@@ -139,33 +135,6 @@ func TestPairVectorSparseMatchesFull(t *testing.T) {
 	}
 	if _, err := pl.PairVectorSparse(len(pl.Pairs), trace, 0); err == nil {
 		t.Fatal("out-of-range pair should fail")
-	}
-}
-
-// TestExtractSparseIncapable requires the legacy scalogram-plane
-// normalization to refuse the sparse path with the typed sentinel — those
-// templates must keep classifying through the full CWT.
-func TestExtractSparseIncapable(t *testing.T) {
-	cfg := CSAPipelineConfig()
-	cfg.NormMode = NormScalogram
-	pl := fitTestPipeline(t, cfg)
-	if pl.SparseCapable() {
-		t.Fatal("NormScalogram pipeline must not be sparse-capable")
-	}
-	rng := rand.New(rand.NewSource(3))
-	trace := synthTrace(rng, 0, 0)
-	if _, err := pl.ExtractSparse(trace); !errors.Is(err, ErrSparseIncapable) {
-		t.Fatalf("ExtractSparse error = %v, want ErrSparseIncapable", err)
-	}
-	if _, err := pl.ExtractSparseAll([][]float64{trace}); !errors.Is(err, ErrSparseIncapable) {
-		t.Fatalf("ExtractSparseAll error = %v, want ErrSparseIncapable", err)
-	}
-	if _, err := pl.SparseCells(); !errors.Is(err, ErrSparseIncapable) {
-		t.Fatalf("SparseCells error = %v, want ErrSparseIncapable", err)
-	}
-	// The full path still works.
-	if _, err := pl.Extract(trace); err != nil {
-		t.Fatalf("full-path Extract failed: %v", err)
 	}
 }
 

@@ -18,8 +18,8 @@ type PipelineState struct {
 	Z        *stats.ZScoreNormalizer // nil when standardization is off
 	PCA      *PCA
 	NClasses int
-	// Baseline is the training-time drift reference; nil in states restored
-	// from templates predating drift support (format version 1).
+	// Baseline is the training-time drift reference. States without one
+	// (templates from builds predating drift support) are rejected.
 	Baseline *FeatureBaseline
 }
 
@@ -42,10 +42,9 @@ func (pl *Pipeline) State() (*PipelineState, error) {
 }
 
 // PipelineFromState reconstructs a fitted pipeline. The CWT is rebuilt
-// deterministically from the persisted bank configuration (states predating
-// BankConfig decode to the zero value, which resolves to the paper's bank),
-// so sparse inference kernels are provably built from the bank the template
-// was fit with.
+// deterministically from the persisted bank configuration (the zero value
+// resolves to the paper's bank), so sparse inference kernels are provably
+// built from the bank the template was fit with.
 func PipelineFromState(st *PipelineState) (*Pipeline, error) {
 	if st == nil || st.PCA == nil || len(st.Points) == 0 || st.TraceLen <= 0 {
 		return nil, errors.New("features: invalid pipeline state")
@@ -62,6 +61,15 @@ func PipelineFromState(st *PipelineState) (*Pipeline, error) {
 	}
 	if st.Z != nil && len(st.Z.Means) != len(st.Z.Stds) {
 		return nil, errors.New("features: invalid pipeline state: z-score moments disagree")
+	}
+	// State written by retired builds — scalogram-plane normalization, which
+	// no sparse per-cell path can reproduce, or no drift baseline — can still
+	// arrive inside a converted v4 file. There is no path left to decode it.
+	if st.Cfg.PerTraceNorm && st.Cfg.NormMode != NormTrace {
+		return nil, errors.New("features: pipeline state uses the retired scalogram-plane normalization; retrain the template")
+	}
+	if st.Baseline == nil {
+		return nil, errors.New("features: pipeline state lacks a drift baseline (saved by an older build); retrain the template")
 	}
 	sel, err := NewSelectorBank(st.TraceLen, st.Cfg.Bank)
 	if err != nil {

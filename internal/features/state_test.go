@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/testkit"
@@ -59,5 +60,41 @@ func TestPipelineStateValidation(t *testing.T) {
 	}
 	if _, err := PipelineFromState(&PipelineState{}); err == nil {
 		t.Fatal("restore of empty state should fail")
+	}
+}
+
+// TestPipelineFromStateRejectsLegacy pins the one-normalization contract:
+// FitPipeline records NormTrace whenever it normalizes (whatever marker the
+// caller passed), and PipelineFromState refuses the two state shapes retired
+// builds wrote — scalogram-plane normalization and a missing drift baseline
+// — with an error that tells the operator to retrain.
+func TestPipelineFromStateRejectsLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	traces, labels, programs := synthDataset(rng, 15, 3, false)
+	cfg := CSAPipelineConfig()
+	cfg.NumComponents = 3
+	cfg.NormMode = 0
+	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.Config().NormMode; got != NormTrace {
+		t.Fatalf("fitted NormMode = %d, want NormTrace", got)
+	}
+	st, err := pl.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := *st
+	plane.Cfg.NormMode = 0
+	noBaseline := *st
+	noBaseline.Baseline = nil
+	for name, bad := range map[string]*PipelineState{"plane-norm": &plane, "no-baseline": &noBaseline} {
+		if _, err := PipelineFromState(bad); err == nil || !strings.Contains(err.Error(), "retrain") {
+			t.Fatalf("%s state: err = %v, want a retrain error", name, err)
+		}
+	}
+	if _, err := PipelineFromState(st); err != nil {
+		t.Fatalf("current state rejected: %v", err)
 	}
 }

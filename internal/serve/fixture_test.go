@@ -10,15 +10,16 @@ import (
 
 	"repro/internal/avr"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/power"
+	"repro/internal/store"
 )
 
-// The shared fixture trains two small disassemblers once per test process:
-// a current (v3, sparse-capable) template and a legacy-normalization one
-// (NormScalogram, sparse-incapable — the on-disk shape of old template
-// files), plus a matched trace batch and its serial decode as the reference
-// labels every handler response must reproduce bitwise.
+// The shared fixture trains a small disassembler once per test process and
+// keeps its v4 template bytes, the same file rewritten with the retired
+// scalogram-plane normalization marker (the shape a file converted from an
+// old gob template can carry), and a matched trace batch with its serial
+// decode as the reference labels every handler response must reproduce
+// bitwise.
 var fx struct {
 	once     sync.Once
 	tpl      []byte
@@ -50,30 +51,16 @@ func fixture(t *testing.T) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
+		if err := d.SaveStore(&buf, store.Options{}); err != nil {
 			fx.err = err
 			return
 		}
 		fx.tpl = buf.Bytes()
 		fx.traceLen = d.TraceLen()
-
-		legacyCfg := cfg
-		legacyCfg.Pipeline.NormMode = features.NormScalogram
-		ld, err := core.TrainSubset(legacyCfg, fixtureClasses, false)
-		if err != nil {
+		if fx.legacy, err = planeNormalized(fx.tpl); err != nil {
 			fx.err = err
 			return
 		}
-		if ld.SparseCapable() {
-			fx.err = errTestFixture("legacy-normalization template is sparse-capable; fixture premise broken")
-			return
-		}
-		var lbuf bytes.Buffer
-		if err := ld.Save(&lbuf); err != nil {
-			fx.err = err
-			return
-		}
-		fx.legacy = lbuf.Bytes()
 
 		camp, err := power.NewCampaign(cfg.Power, 0, 7117)
 		if err != nil {
@@ -106,9 +93,30 @@ func fixture(t *testing.T) {
 	}
 }
 
-type errTestFixture string
-
-func (e errTestFixture) Error() string { return string(e) }
+// planeNormalized rewrites a v4 template so every level claims the retired
+// scalogram-plane normalization.
+func planeNormalized(tpl []byte) ([]byte, error) {
+	sf, err := store.OpenReaderAt(bytes.NewReader(tpl), int64(len(tpl)))
+	if err != nil {
+		return nil, err
+	}
+	defer sf.Close()
+	st, err := sf.Template()
+	if err != nil {
+		return nil, err
+	}
+	st.Group.Pipe.Cfg.NormMode = 0
+	for i := range st.Instr {
+		if st.Instr[i].Present {
+			st.Instr[i].Pipe.Cfg.NormMode = 0
+		}
+	}
+	var buf bytes.Buffer
+	if err := store.Write(&buf, st, store.Options{}); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // writeTemplate drops the fixture template bytes into dir under name.tpl.
 func writeTemplate(t *testing.T, dir, name string, data []byte) string {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,13 +31,16 @@ func TestRegistryLazyLoadAndStatuses(t *testing.T) {
 		t.Fatalf("loaded traceLen %d, want %d", tpl.traceLen, fx.traceLen)
 	}
 	sts = reg.Statuses()
-	if !sts[0].Loaded || sts[0].TraceLen != fx.traceLen {
-		t.Fatalf("post-load status %+v", sts[0])
+	if !sts[0].Loaded || sts[0].Resident || sts[0].TraceLen != fx.traceLen {
+		t.Fatalf("post-load status %+v, want header-only", sts[0])
 	}
-	// A v3 template has a drift baseline: the per-template drift state is
-	// exposed in its status.
-	if sts[0].Drift == nil {
-		t.Fatal("loaded v3 template reports no drift state")
+	// Materialization wires the drift monitor from the template's baseline:
+	// the per-template drift state is exposed in its status from then on.
+	if _, err := tpl.disassembler(); err != nil {
+		t.Fatal(err)
+	}
+	if sts = reg.Statuses(); !sts[0].Resident || sts[0].Drift == nil {
+		t.Fatalf("materialized status %+v, want resident with drift state", sts[0])
 	}
 	if _, err := reg.Get("nope"); !errors.Is(err, ErrUnknownTemplate) {
 		t.Fatalf("unknown template error = %v, want ErrUnknownTemplate", err)
@@ -48,7 +52,7 @@ func TestRegistryLazyLoadAndStatuses(t *testing.T) {
 // healthy template keeps serving.
 func TestRegistryBadFileIsolated(t *testing.T) {
 	reg, dir := newTestRegistry(t, RegistryConfig{})
-	writeTemplate(t, dir, "corrupt", []byte("not a gob stream"))
+	writeTemplate(t, dir, "corrupt", []byte("not a template file"))
 	if err := reg.Reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,45 +188,44 @@ func TestRegistryReloadNotBlockedBySlowLoad(t *testing.T) {
 	}
 }
 
-// TestRegistrySparsePreferenceDegrades pins satellite contract: a registry
-// preferring -sparse=on loads a legacy-normalization template anyway,
-// serving it via the full-CWT path with the fallback recorded in its status,
-// while a capable template in the same directory gets the sparse path.
-func TestRegistrySparsePreferenceDegrades(t *testing.T) {
+// TestRegistryLegacyTemplateUnavailable pins the registry side of the
+// one-path contract: a v4 file carrying state from a retired build (here the
+// scalogram-plane normalization marker) opens, but cannot materialize — its
+// decode is a 503 naming the retrain remedy and its status reports the
+// error — while a current template in the same directory keeps serving.
+func TestRegistryLegacyTemplateUnavailable(t *testing.T) {
 	fixture(t)
 	dir := t.TempDir()
 	writeTemplate(t, dir, "demo", fx.tpl)
 	writeTemplate(t, dir, "old", fx.legacy)
-	reg, err := NewRegistry(dir, RegistryConfig{Sparse: core.SparseOn})
+	reg, err := NewRegistry(dir, RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldTpl, err := reg.Get("old")
 	if err != nil {
-		t.Fatalf("legacy template failed to load under -sparse=on: %v", err)
+		t.Fatalf("legacy template header failed to open: %v", err)
 	}
-	if !oldTpl.fellBack || oldTpl.sparse {
-		t.Fatalf("legacy template state = {fellBack:%v sparse:%v}, want fallback to the full path", oldTpl.fellBack, oldTpl.sparse)
+	if _, err := oldTpl.disassembler(); !errors.Is(err, core.ErrTemplateFormat) || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("legacy materialization err = %v, want ErrTemplateFormat with a retrain message", err)
 	}
 	newTpl, err := reg.Get("demo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if newTpl.fellBack || !newTpl.sparse {
-		t.Fatalf("capable template state = {fellBack:%v sparse:%v}, want the sparse path", newTpl.fellBack, newTpl.sparse)
+	d, err := newTpl.disassembler()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Both decode the same batch successfully.
-	for _, tpl := range []*loaded{oldTpl, newTpl} {
-		if _, err := tpl.d.Disassemble(fx.traces); err != nil {
-			t.Fatalf("decode failed (sparse=%v): %v", tpl.sparse, err)
-		}
+	if _, err := d.Disassemble(fx.traces); err != nil {
+		t.Fatalf("current template failed to decode beside a legacy one: %v", err)
 	}
 	for _, st := range reg.Statuses() {
-		if st.Name == "old" && !st.SparseFellBack {
-			t.Fatalf("legacy status does not report the fallback: %+v", st)
+		if st.Name == "old" && (st.Resident || !strings.Contains(st.Error, "retrain")) {
+			t.Fatalf("legacy status = %+v, want a retrain error", st)
 		}
-		if st.Name == "demo" && st.SparseFellBack {
-			t.Fatalf("capable status reports a fallback: %+v", st)
+		if st.Name == "demo" && (!st.Resident || st.Error != "") {
+			t.Fatalf("current status = %+v, want resident without error", st)
 		}
 	}
 }

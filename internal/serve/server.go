@@ -208,7 +208,6 @@ type DecodedInstr struct {
 type DisassembleResponse struct {
 	Template string         `json:"template"`
 	Count    int            `json:"count"`
-	Sparse   bool           `json:"sparse"`
 	Decoded  []DecodedInstr `json:"decoded"`
 	// Drift is the template's covariate-shift state after this batch, when
 	// the template carries a drift baseline.
@@ -270,10 +269,9 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	root := obs.ContextSpan(ctx)
 
-	// Materialize inside the admission gate: a v4 template's first decode
+	// Materialize inside the admission gate: a template's first decode
 	// faults its matrix sections in here, and section memory is exactly the
-	// kind of burst the gate exists to bound. Gob templates materialized at
-	// load; for them this returns immediately.
+	// kind of burst the gate exists to bound.
 	loadSpan := root.FineChild("serve.template.load")
 	d, err := tpl.disassembler()
 	loadSpan.End()
@@ -310,7 +308,6 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	resp := DisassembleResponse{
 		Template: name,
 		Count:    len(decs),
-		Sparse:   tpl.sparse,
 		Decoded:  make([]DecodedInstr, len(decs)),
 	}
 	for i, dec := range decs {
@@ -480,8 +477,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the process obs registry in Prometheus exposition
-// format. The serving instruments (admission gauges, spans dropped, sparse
-// fallbacks, decision counters) all live there via the OnDefault hooks.
+// format. The serving instruments (admission gauges, spans dropped,
+// decision counters) all live there via the OnDefault hooks.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := obs.Default()
 	if reg == nil {

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -97,7 +96,7 @@ func TestServeDecodeMatchesSerial(t *testing.T) {
 		}
 	}
 	if dr.Drift == nil || dr.Drift.State == "" {
-		t.Fatalf("v3 template response carries no drift state: %+v", dr.Drift)
+		t.Fatalf("template response carries no drift state: %+v", dr.Drift)
 	}
 	if len(dr.Spans) == 0 {
 		t.Fatal("?trace=1 response carries no span tree")
@@ -458,14 +457,32 @@ func TestServeAdminReload(t *testing.T) {
 	}
 }
 
+// gateWriter blocks its first Write until release is closed, closing
+// entered first: installed as the decision log, it holds a decode in flight
+// at a known point instead of relying on a batch being slow enough.
+type gateWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return len(p), nil
+}
+
 // TestServeGracefulDrain pins shutdown semantics: Shutdown called while a
-// decode is in flight lets that request finish with a full 200 response,
-// and Serve returns http.ErrServerClosed.
+// decode is in flight closes the listener but lets that request finish with
+// a full 200 response, and Serve returns http.ErrServerClosed.
 func TestServeGracefulDrain(t *testing.T) {
 	fixture(t)
-	// Full-CWT path (no sparse shortcut) so the decode is slow enough to
-	// still be in flight when Shutdown fires.
-	reg, _ := newTestRegistry(t, RegistryConfig{Sparse: core.SparseOff})
+	gate := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release() // never leave the handler parked if the test fails early
+	reg, _ := newTestRegistry(t, RegistryConfig{Decisions: obs.NewDecisionLog(gate, 1)})
 	s := NewServer(reg, Config{MaxInFlight: 1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -473,14 +490,8 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(l) }()
-	url := "http://" + l.Addr().String()
+	addr := l.Addr().String()
 
-	// A deliberately heavy batch so the decode is still running when
-	// Shutdown fires.
-	big := make([][]float64, 0, 64*len(fx.traces))
-	for i := 0; i < 64; i++ {
-		big = append(big, fx.traces...)
-	}
 	type result struct {
 		status int
 		count  int
@@ -488,7 +499,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(url+"/v1/disassemble/demo", "application/json", jsonBody(big))
+		resp, err := http.Post("http://"+addr+"/v1/disassemble/demo", "application/json", jsonBody(fx.traces))
 		if err != nil {
 			resc <- result{err: err}
 			return
@@ -502,31 +513,46 @@ func TestServeGracefulDrain(t *testing.T) {
 		resc <- result{status: resp.StatusCode, count: dr.Count}
 	}()
 
-	// Wait for the decode to be admitted, then drain.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.adm.InFlight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never entered the admission gate")
-		}
-		time.Sleep(time.Millisecond)
+	// Wait for the decode to reach the held decision-log write, then drain.
+	select {
+	case <-gate.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("request never reached the decision log")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(ctx) }()
+	// The listener closes promptly; the in-flight request holds the drain.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after Shutdown")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned (%v) with a decode still in flight", err)
+	default:
+	}
+	release()
 	res := <-resc
 	if res.err != nil {
 		t.Fatalf("in-flight request during drain: %v", res.err)
 	}
-	if res.status != http.StatusOK || res.count != len(big) {
-		t.Fatalf("drained request = status %d count %d, want 200/%d", res.status, res.count, len(big))
+	if res.status != http.StatusOK || res.count != len(fx.traces) {
+		t.Fatalf("drained request = status %d count %d, want 200/%d", res.status, res.count, len(fx.traces))
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 	if err := <-served; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
-	}
-	// The listener is gone: new connections are refused.
-	if _, err := http.Get(url + "/healthz"); err == nil {
-		t.Fatal("listener still accepting after Shutdown")
 	}
 }

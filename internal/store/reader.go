@@ -65,7 +65,7 @@ func fromSource(src sectionSource, size int64) (*File, error) {
 		return nil, err
 	}
 	if string(pre[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, pre[0:4])
+		return nil, fmt.Errorf("%w: bad magic %q, not a schema-v4 template (a file of the retired gob format must be retrained)", ErrFormat, pre[0:4])
 	}
 	if v := binary.LittleEndian.Uint32(pre[4:8]); v != Version {
 		if v > Version {
