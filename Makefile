@@ -37,10 +37,13 @@ bench:
 # observers (decision log + drift monitor) cost more than 3% on top of the
 # scored walk and more than 5us/trace absolute, when sparse per-cell
 # extraction loses its >=8x edge over the full-FFT path (or grows past its
-# allocation budget), or when a registry cold start (header-only opens) is
-# not at least 10x cheaper than eagerly materializing the same 16 templates.
+# allocation budget), when a registry cold start (header-only opens) is
+# not at least 10x cheaper than eagerly materializing the same 16 templates,
+# or when JSON request ingest takes more than half of encoding/json's time
+# on the same 16x315 body or more than 8 allocations per body.
 bench-compare:
 	BENCH_COMPARE=1 $(GO) test -run 'TestMetricsOverheadBudget|TestDecisionOverheadBudget|TestSparseSpeedupBudget|TestLabeledOverheadBudget|TestStoreColdStartBudget|TestTracingOverheadBudget' -v .
+	BENCH_COMPARE=1 $(GO) test -run 'TestJSONIngestBudget' -v ./internal/serve
 
 # Every native fuzz target, run briefly from its committed seed corpus. Go
 # allows one -fuzz pattern per invocation, so iterate; -run '^$$' skips the
@@ -54,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsFlagParsing$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONTraces$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Coverage with a ratcheted floor: raise COVER_FLOOR when coverage improves,
 # never lower it (measured 72.3% when last ratcheted). -short skips the e2e

@@ -83,7 +83,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker goroutines per decode batch (0 = all CPUs)")
 	maxInFlight := fs.Int("max-inflight", 2, "concurrently decoded batches before requests queue")
-	maxQueue := fs.Int("max-queue", 8, "queued batches before requests are shed with 429")
+	maxQueue := fs.Int("max-queue", 8, "queued batches before requests are shed with 429 (0 = no queue)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
@@ -106,6 +106,9 @@ func run(args []string) error {
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = all CPUs), got %d", *workers)
+	}
+	if *maxQueue < 0 {
+		return fmt.Errorf("-max-queue must be >= 0 (0 = no queue), got %d", *maxQueue)
 	}
 	if err := obs.SetupLogging(*logFormat, os.Stderr, false); err != nil {
 		return err
@@ -181,9 +184,15 @@ func run(args []string) error {
 		}()
 	}
 
+	// The flag's 0 means no queue; in serve.Config that is any negative
+	// value, 0 being the default depth.
+	queue := *maxQueue
+	if queue == 0 {
+		queue = -1
+	}
 	srv := serve.NewServer(reg, serve.Config{
 		MaxInFlight:     *maxInFlight,
-		MaxQueue:        *maxQueue,
+		MaxQueue:        queue,
 		RetryAfter:      *retryAfter,
 		AccessLog:       accessW,
 		TraceExporter:   exporter,

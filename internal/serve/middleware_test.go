@@ -145,7 +145,7 @@ func TestServeLivezReadyzSplit(t *testing.T) {
 
 	// Loaded registry with a saturated gate: alive, not ready, and readiness
 	// says why.
-	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: 0})
+	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: -1})
 	release, err := s.adm.TryAcquire()
 	if err != nil {
 		t.Fatal(err)

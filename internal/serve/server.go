@@ -25,7 +25,8 @@ type Config struct {
 	// of in-flight batches saturates the CPUs — more just grows the heap.
 	MaxInFlight int
 	// MaxQueue is how many batches may wait for a decode slot before the
-	// server starts shedding with 429; <0 defaults to 8.
+	// server starts shedding with 429; 0 defaults to 8, and a negative value
+	// means no queue: a request that finds every slot held is shed at once.
 	MaxQueue int
 	// RetryAfter is the hint sent with 429 responses; <=0 defaults to 1s.
 	RetryAfter time.Duration
@@ -77,8 +78,11 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = 2
 	}
-	if cfg.MaxQueue < 0 {
+	switch {
+	case cfg.MaxQueue == 0:
 		cfg.MaxQueue = 8
+	case cfg.MaxQueue < 0:
+		cfg.MaxQueue = 0
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -214,11 +218,6 @@ type DisassembleResponse struct {
 	Drift *obs.DriftSnapshot `json:"drift,omitempty"`
 	// Spans is the request's stage tree, present only with ?trace=1.
 	Spans []*obs.SpanNode `json:"spans,omitempty"`
-}
-
-// disassembleRequest is the JSON decode-request body.
-type disassembleRequest struct {
-	Traces [][]float64 `json:"traces"`
 }
 
 // handleDisassemble decodes one batch of traces against the named template.
@@ -366,21 +365,11 @@ func readTraces(r *http.Request, maxBytes int64, traceLen int) ([][]float64, err
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
 		return readBinaryTraces(body, maxBytes, traceLen)
 	}
-	var req disassembleRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	b, err := readBody(body, r.ContentLength, maxBytes)
+	if err != nil {
 		return nil, fmt.Errorf("invalid JSON body: %w", err)
 	}
-	if len(req.Traces) == 0 {
-		return nil, errors.New("empty batch: provide at least one trace")
-	}
-	for i, tr := range req.Traces {
-		if len(tr) != traceLen {
-			return nil, fmt.Errorf("trace %d has %d samples, template expects %d", i, len(tr), traceLen)
-		}
-	}
-	return req.Traces, nil
+	return parseJSONTraces(b, traceLen)
 }
 
 // readBinaryTraces parses the packed little-endian frame: uint32 count,

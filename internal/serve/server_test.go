@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, rcfg RegistryConfig, scfg Config) (*Server, str
 }
 
 func jsonBody(traces [][]float64) *bytes.Reader {
-	b, err := json.Marshal(disassembleRequest{Traces: traces})
+	b, err := json.Marshal(oracleRequest{Traces: traces})
 	if err != nil {
 		panic(err)
 	}
@@ -107,19 +107,7 @@ func TestServeDecodeMatchesSerial(t *testing.T) {
 // the JSON one: same traces, same labels.
 func TestServeBinaryBodyMatchesJSON(t *testing.T) {
 	_, url := newTestServer(t, RegistryConfig{}, Config{})
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(fx.traces)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(fx.traceLen))
-	buf.Write(hdr[:])
-	var s [8]byte
-	for _, tr := range fx.traces {
-		for _, v := range tr {
-			binary.LittleEndian.PutUint64(s[:], math.Float64bits(v))
-			buf.Write(s[:])
-		}
-	}
-	resp, err := http.Post(url+"/v1/disassemble/demo", "application/octet-stream", &buf)
+	resp, err := http.Post(url+"/v1/disassemble/demo", "application/octet-stream", bytes.NewReader(binaryFrame(fx.traces)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +189,8 @@ func TestServeRejectsMalformedRequests(t *testing.T) {
 // slot held and the queue full, a request is shed with 429 and a
 // Retry-After hint instead of queueing without bound.
 func TestServeOverloadSheds(t *testing.T) {
-	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: 0, RetryAfter: 3 * time.Second})
-	// MaxQueue 0: no wait queue, so a held slot makes the next request shed.
+	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: -1, RetryAfter: 3 * time.Second})
+	// Negative MaxQueue: no wait queue, so a held slot makes the next request shed.
 	release, err := s.adm.TryAcquire()
 	if err != nil {
 		t.Fatal(err)
